@@ -18,17 +18,22 @@
 namespace byzcast {
 
 /// MAC construction used by a simulation. kHmac is real HMAC-SHA256 (the
-/// default; tests rely on it). kFast is a keyed 64-bit mix — unforgeable
-/// within the simulation (adversary actors never hold other processes'
-/// Authenticators, and keys never leave the KeyStore) and ~50x cheaper in
-/// wall-clock time, used by the benchmark harness where millions of wire
-/// messages flow. The *simulated* CPU cost of authentication is part of the
-/// Profile constants either way.
+/// default; tests rely on it). kFast is a keyed 64-bit FNV-1a mix whose
+/// finalizer is invertible, so one observed message/MAC pair gives away the
+/// pair key. It is unforgeable only within one process, where adversary
+/// actors never hold other processes' Authenticators and keys never leave
+/// the KeyStore. On byzcastd every process derives every pair key from the
+/// config's `seed`, so there neither mode stops a Byzantine daemon from
+/// forging another process's MACs. bench_micro measures a 100-byte
+/// sign + verify as about 3x cheaper with kFast than with kHmac on the
+/// SHA-NI SHA-256 kernel, and 20x on the portable one. The *simulated* CPU
+/// cost of authentication is part of the Profile constants either way.
 enum class MacMode { kHmac, kFast };
 
-/// Derives and caches pairwise keys. Shared by all processes of one
-/// simulation via shared_ptr; thread-safety is not needed (single-threaded
-/// deterministic simulation).
+/// Derives pairwise keys from the master seed on every call; nothing is
+/// cached. Shared by all processes of one system via shared_ptr. Runtime
+/// workers and verify-stage threads call it concurrently, which is safe
+/// because it is immutable after construction and keeps no other state.
 class KeyStore {
  public:
   /// `verify_memo` gates the Authenticator's verification cache for every
@@ -53,20 +58,22 @@ class KeyStore {
 
 /// A per-process capability for creating and checking MACs.
 ///
-/// Successful kHmac verifications are memoized: the tree relay path makes a
-/// replica see the same (sender, payload) pair more than once (retransmits,
-/// a request forwarded up the tree coming back down), and re-running
-/// HMAC-SHA256 for bytes it already authenticated is pure waste. The memo is
-/// keyed on the full SHA-256 of the payload: a hit requires the stored
-/// payload digest AND the stored 32-byte MAC to equal the presented ones, so
-/// by second-preimage resistance the presented bytes are the very bytes that
-/// were verified — accepting from the cache is exactly as strong as
-/// accepting a replay of an already-verified message, which the channel
-/// model permits anyway (replay protection lives in the protocol layer:
-/// request dedup, FIFO sequence numbers). A hit costs one SHA-256 pass over
-/// the payload instead of the full keyed HMAC (inner pass over key block +
-/// payload, plus the outer hash). kFast mode is not cached: its MAC is
-/// itself one cheap hash pass, cheaper than the digest lookup.
+/// Successful kHmac verifications are memoized, so an exact repeat of an
+/// authenticated (sender, payload, MAC) triple, such as a retransmit, skips
+/// the HMAC. The f+1 parent copies of a relayed request never hit: each
+/// parent replica signs on its own pairwise channel, so sender and MAC
+/// differ, and the repository benchmark counts zero hits per multicast on
+/// every workload. The memo is keyed on the full SHA-256 of the payload: a
+/// hit requires the stored payload digest AND the stored 32-byte MAC to
+/// equal the presented ones, so by second-preimage resistance the presented
+/// bytes are the very bytes that were verified — accepting from the cache is
+/// exactly as strong as accepting a replay of an already-verified message,
+/// which the channel model permits anyway (replay protection lives in the
+/// protocol layer: request dedup, FIFO sequence numbers). A hit costs one
+/// SHA-256 pass over the payload instead of the full keyed HMAC (inner pass
+/// over key block + payload, plus the outer hash); a miss pays that pass on
+/// top of the HMAC. kFast mode is not cached: its MAC is itself one cheap
+/// hash pass, cheaper than the digest lookup.
 ///
 /// The cache is safe for concurrent verifiers: the verify stage fans MAC
 /// checks for one replica out to a worker pool, so several threads may probe

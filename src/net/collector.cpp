@@ -174,8 +174,8 @@ std::optional<std::string> http_get(const std::string& host,
                               "\r\nConnection: close\r\n\r\n";
   std::size_t written = 0;
   while (written < request.size()) {
-    const ssize_t n = ::write(fd, request.data() + written,
-                              request.size() - written);
+    const ssize_t n = ::send(fd, request.data() + written,
+                             request.size() - written, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       continue;

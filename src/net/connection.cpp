@@ -130,7 +130,13 @@ bool Connection::flush_writes() {
       iov[iovcnt].iov_len = c.buf.size() - c.offset;
       ++iovcnt;
     }
-    const ssize_t n = ::writev(fd_, iov, iovcnt);
+    // sendmsg with MSG_NOSIGNAL, not writev: a write to a peer that reset
+    // the connection must fail with EPIPE rather than raise SIGPIPE, whose
+    // default action kills every process that has not ignored it.
+    struct msghdr msg {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       if (errno == EINTR) continue;

@@ -1,7 +1,8 @@
 // One non-blocking TCP connection owned by an EventLoop. The read side
 // accumulates bytes into a FrameDecoder and emits complete frames; the write
 // side keeps a bounded queue of Buffer chunks (the shared-payload zero-copy
-// chunks from encode_wire_frame) and flushes with writev under EPOLLOUT.
+// chunks from encode_wire_frame) and flushes them with one gathered sendmsg
+// (MSG_NOSIGNAL, so a reset peer never raises SIGPIPE) under EPOLLOUT.
 //
 // Backpressure: when the queued bytes would exceed `send_queue_max_bytes`
 // the *whole frame* is dropped (never a partial frame — the stream would

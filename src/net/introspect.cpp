@@ -195,8 +195,8 @@ bool IntrospectServer::maybe_respond(Client* client) {
 void IntrospectServer::flush(Client* client) {
   while (client->out_pos < client->out.size()) {
     const ssize_t n =
-        ::write(client->fd, client->out.data() + client->out_pos,
-                client->out.size() - client->out_pos);
+        ::send(client->fd, client->out.data() + client->out_pos,
+               client->out.size() - client->out_pos, MSG_NOSIGNAL);
     if (n > 0) {
       client->out_pos += static_cast<std::size_t>(n);
       continue;

@@ -152,8 +152,10 @@ struct Profile {
 
   /// Wall-clock preset for the runtime backend: every cpu_* / net_* cost is
   /// zero because real threads spend real CPU and the ThreadNetwork adds any
-  /// injected latency itself. Only the protocol knobs remain meaningful;
-  /// fast MACs keep the authentication hot path cheap on real hardware.
+  /// injected latency itself. Only the protocol knobs remain meaningful.
+  /// Fast MACs make a 100-byte sign + verify about 3x cheaper than HMAC on
+  /// the SHA-NI SHA-256 kernel and 20x on the portable one (bench_micro);
+  /// the repository benchmark turns them off to pay the real HMAC cost.
   [[nodiscard]] static Profile wallclock() {
     Profile p;
     p.net_one_way = 0;

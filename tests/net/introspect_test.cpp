@@ -25,6 +25,7 @@
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "common/sha256.hpp"
 #include "core/multicast.hpp"
 #include "core/properties.hpp"
 #include "net/cluster.hpp"
@@ -169,6 +170,7 @@ Scrape scrape_healthz(std::uint16_t port) {
   if (!j) return s;
   EXPECT_EQ(j->get("schema").as_string(), "byzcast-healthz-v1");
   EXPECT_TRUE(j->get("is_replica").as_bool());
+  EXPECT_EQ(j->get("sha256_kernel").as_string(), Sha256::kernel_name());
   EXPECT_EQ(j->get("monitor").int_or("violations_total", -1), 0);
   s.decided = j->int_or("decided_instances", -1);
   s.deliveries = j->int_or("deliveries", -1);
