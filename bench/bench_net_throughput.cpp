@@ -15,13 +15,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "core/multicast.hpp"
 #include "core/properties.hpp"
@@ -285,33 +285,35 @@ BackendResult run_net(const net::ClusterConfig& cfg,
 }
 
 void write_bench_json(const std::vector<BackendResult>& results) {
-  std::ofstream out("BENCH_net.json");
-  if (!out) return;
-  out << "{\"bench\":\"net_vs_runtime\",\"groups\":3,\"f\":1,"
-      << "\"clients\":" << kClients
-      << ",\"msgs_per_client\":" << kMsgsPerClient
-      << ",\"global_fraction\":" << kGlobalFraction << ",\"backends\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BackendResult& r = results[i];
-    if (i > 0) out << ",";
-    out << "{\"backend\":\"" << r.backend << "\",\"completed\":" << r.completed
-        << ",\"elapsed_ms\":" << r.elapsed_ms
-        << ",\"throughput_msgs_s\":" << r.throughput
-        << ",\"latency_mean_ms\":" << r.latency_mean_ms
-        << ",\"latency_p95_ms\":" << r.latency_p95_ms
-        << ",\"a_deliveries\":" << r.deliveries
-        << ",\"properties_ok\":" << (r.properties_ok ? "true" : "false");
+  Json backends = Json::array();
+  for (const BackendResult& r : results) {
+    Json b = Json::object();
+    b.set("backend", Json::string(r.backend));
+    b.set("completed", Json::number(r.completed));
+    b.set("elapsed_ms", Json::number(r.elapsed_ms));
+    b.set("throughput_msgs_s", Json::number(r.throughput));
+    b.set("latency_mean_ms", Json::number(r.latency_mean_ms));
+    b.set("latency_p95_ms", Json::number(r.latency_p95_ms));
+    b.set("a_deliveries", Json::number(r.deliveries));
+    b.set("properties_ok", Json::boolean(r.properties_ok));
     if (!r.properties_ok) {
-      out << ",\"properties_error\":\"" << r.properties_error << "\"";
+      b.set("properties_error", Json::string(r.properties_error));
     }
     if (r.backend != "runtime") {
-      out << ",\"wire_messages\":" << r.wire_messages
-          << ",\"wire_bytes\":" << r.wire_bytes
-          << ",\"reconnects\":" << r.reconnects;
+      b.set("wire_messages", Json::number(r.wire_messages));
+      b.set("wire_bytes", Json::number(r.wire_bytes));
+      b.set("reconnects", Json::number(r.reconnects));
     }
-    out << "}";
+    backends.push_back(std::move(b));
   }
-  out << "]";
+  Json doc = Json::object();
+  doc.set("bench", Json::string("net_vs_runtime"));
+  doc.set("groups", Json::number(3));
+  doc.set("f", Json::number(1));
+  doc.set("clients", Json::number(kClients));
+  doc.set("msgs_per_client", Json::number(kMsgsPerClient));
+  doc.set("global_fraction", Json::number(kGlobalFraction));
+  doc.set("backends", std::move(backends));
   const auto by_name = [&](const std::string& name) -> const BackendResult* {
     for (const BackendResult& r : results) {
       if (r.backend == name) return &r;
@@ -322,16 +324,16 @@ void write_bench_json(const std::vector<BackendResult>& results) {
   const BackendResult* net = by_name("net");
   const BackendResult* traced = by_name("net_traced");
   if (rt != nullptr && net != nullptr && rt->throughput > 0.0) {
-    out << ",\"net_vs_runtime_throughput_ratio\":"
-        << net->throughput / rt->throughput;
+    doc.set("net_vs_runtime_throughput_ratio",
+            Json::number(net->throughput / rt->throughput));
   }
   if (net != nullptr && traced != nullptr && net->throughput > 0.0) {
     // < 1.0 means tracing cost throughput; 1 - ratio is the overhead
     // fraction at the default 1/64 sampling.
-    out << ",\"traced_vs_untraced_throughput_ratio\":"
-        << traced->throughput / net->throughput;
+    doc.set("traced_vs_untraced_throughput_ratio",
+            Json::number(traced->throughput / net->throughput));
   }
-  out << "}\n";
+  write_json_file("BENCH_net.json", doc);
 }
 
 }  // namespace

@@ -30,10 +30,10 @@
 // CI runs this binary in the perf-smoke job; tools/plot_benches.py picks up
 // the JSON for the summary.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/critical_path.hpp"
 #include "workload/report.hpp"
 
@@ -101,14 +101,15 @@ RunResult run_one(std::uint32_t depth, Time batch_timeout) {
 
 double ms(Time t) { return static_cast<double>(t) / 1e6; }
 
-void emit_aggregate(std::ofstream& out, const char* name,
-                    const core::ClassAggregate& agg) {
-  out << "\"" << name << "\":{\"n\":" << agg.n
-      << ",\"end_to_end_p50_ns\":" << agg.end_to_end.p50
-      << ",\"queueing_p50_ns\":" << agg.queueing.p50
-      << ",\"cpu_p50_ns\":" << agg.cpu.p50
-      << ",\"network_p50_ns\":" << agg.network.p50
-      << ",\"quorum_wait_p50_ns\":" << agg.quorum_wait.p50 << "}";
+Json aggregate_json(const core::ClassAggregate& agg) {
+  Json j = Json::object();
+  j.set("n", Json::number(agg.n));
+  j.set("end_to_end_p50_ns", Json::number(agg.end_to_end.p50));
+  j.set("queueing_p50_ns", Json::number(agg.queueing.p50));
+  j.set("cpu_p50_ns", Json::number(agg.cpu.p50));
+  j.set("network_p50_ns", Json::number(agg.network.p50));
+  j.set("quorum_wait_p50_ns", Json::number(agg.quorum_wait.p50));
+  return j;
 }
 
 }  // namespace
@@ -165,32 +166,36 @@ int main() {
           : 0.0,
       ms(ablation.global.queueing.p50), ms(best->global.queueing.p50));
 
-  std::ofstream out("BENCH_pipeline.json");
-  if (out) {
-    out << "{\"bench\":\"pipeline\",\"backend\":\"sim\",\"environment\":"
-        << "\"wan\",\"protocol\":\"byzcast-2l\",\"groups\":2,\"f\":1,"
-        << "\"pattern\":\"mixed\",\"clients_per_group\":100,"
-        << "\"open_loop_rate_msgs_s\":" << kOfferedRate << ","
-        << "\"knobs\":\"Profile::pipeline_depth x Profile::batch_timeout "
-        << "(0 = cpu_propose_fixed window); depth 1 = sequential ablation\","
-        << "\"configs\":[";
-    bool first = true;
-    for (const RunResult& r : runs) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"pipeline_depth\":" << r.depth
-          << ",\"batch_timeout_us\":" << r.batch_timeout / kMicrosecond
-          << ",\"throughput_msgs_s\":" << r.throughput
-          << ",\"throughput_global_msgs_s\":" << r.throughput_global
-          << ",\"latency_p50_ms\":" << r.p50_ms << ",\"latency_p99_ms\":"
-          << r.p99_ms << ",\"monitor_violations\":" << r.violations << ",";
-      emit_aggregate(out, "local", r.local);
-      out << ",";
-      emit_aggregate(out, "global", r.global);
-      out << "}";
-    }
-    out << "]}\n";
+  Json configs = Json::array();
+  for (const RunResult& r : runs) {
+    Json c = Json::object();
+    c.set("pipeline_depth", Json::number(r.depth));
+    c.set("batch_timeout_us", Json::number(r.batch_timeout / kMicrosecond));
+    c.set("throughput_msgs_s", Json::number(r.throughput));
+    c.set("throughput_global_msgs_s", Json::number(r.throughput_global));
+    c.set("latency_p50_ms", Json::number(r.p50_ms));
+    c.set("latency_p99_ms", Json::number(r.p99_ms));
+    c.set("monitor_violations", Json::number(r.violations));
+    c.set("local", aggregate_json(r.local));
+    c.set("global", aggregate_json(r.global));
+    configs.push_back(std::move(c));
   }
+  Json doc = Json::object();
+  doc.set("bench", Json::string("pipeline"));
+  doc.set("backend", Json::string("sim"));
+  doc.set("environment", Json::string("wan"));
+  doc.set("protocol", Json::string("byzcast-2l"));
+  doc.set("groups", Json::number(2));
+  doc.set("f", Json::number(1));
+  doc.set("pattern", Json::string("mixed"));
+  doc.set("clients_per_group", Json::number(100));
+  doc.set("open_loop_rate_msgs_s", Json::number(kOfferedRate));
+  doc.set("knobs",
+          Json::string("Profile::pipeline_depth x Profile::batch_timeout "
+                       "(0 = cpu_propose_fixed window); depth 1 = sequential "
+                       "ablation"));
+  doc.set("configs", std::move(configs));
+  write_json_file("BENCH_pipeline.json", doc);
 
   int failures = 0;
   for (const RunResult& r : runs) {

@@ -17,16 +17,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "core/multicast.hpp"
 #include "core/properties.hpp"
@@ -73,8 +72,7 @@ ConfigResult run_config(int groups, double global_fraction,
   opts.runtime.seed = 97;
   if (sidecar != nullptr) {
     sidecar->metrics = std::make_shared<MetricsRegistry>();
-    sidecar->trace = std::make_shared<TraceLog>();
-    opts.obs = Observability{sidecar->metrics.get(), sidecar->trace.get()};
+    opts.obs.metrics = sidecar->metrics.get();
   }
   runtime::ParallelSystem system(make_tree(groups), /*f=*/1, opts);
 
@@ -187,42 +185,32 @@ ConfigResult run_config(int groups, double global_fraction,
   return r;
 }
 
-/// Prior throughput per (groups, pattern), scraped from the
+/// Prior throughput per (groups, pattern), read from the
 /// BENCH_runtime.json present at startup (the previous run of this binary —
 /// e.g. the committed pre-zero-copy baseline). Empty when absent.
 std::map<std::pair<int, std::string>, double> read_baseline() {
   std::map<std::pair<int, std::string>, double> out;
-  std::ifstream file("BENCH_runtime.json");
-  if (!file) return out;
-  std::stringstream ss;
-  ss << file.rdbuf();
-  const std::string text = ss.str();
-  // The file is machine-written by write_bench_json below, so a flat scan
-  // for its fixed key order is sufficient — no JSON library needed.
-  std::size_t pos = 0;
-  while ((pos = text.find("{\"groups\":", pos)) != std::string::npos) {
-    const std::size_t end = text.find('}', pos);
-    if (end == std::string::npos) break;
-    const std::string obj = text.substr(pos, end - pos);
-    pos = end;
-    const auto field = [&obj](const std::string& key) -> std::string {
-      const std::size_t at = obj.find("\"" + key + "\":");
-      if (at == std::string::npos) return {};
-      std::size_t start = at + key.size() + 3;
-      if (start < obj.size() && obj[start] == '"') {
-        const std::size_t close = obj.find('"', start + 1);
-        return obj.substr(start + 1, close - start - 1);
-      }
-      const std::size_t close = obj.find_first_of(",}", start);
-      return obj.substr(start, close - start);
-    };
-    const std::string groups = field("groups");
-    const std::string pattern = field("pattern");
-    const std::string thr = field("throughput_msgs_s");
-    if (groups.empty() || pattern.empty() || thr.empty()) continue;
-    out[{std::stoi(groups), pattern}] = std::stod(thr);
+  const auto doc = read_json_file("BENCH_runtime.json");
+  if (!doc) return out;
+  const Json& configs = doc->get("configs");
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const Json& c = configs.at(i);
+    const int groups = static_cast<int>(c.int_or("groups", 0));
+    out[{groups, c.get("pattern").as_string()}] =
+        c.num_or("throughput_msgs_s", 0.0);
   }
   return out;
+}
+
+/// The fields both BENCH files open with.
+Json bench_header(const char* bench) {
+  Json doc = Json::object();
+  doc.set("bench", Json::string(bench));
+  doc.set("backend", Json::string("runtime"));
+  doc.set("f", Json::number(1));
+  doc.set("clients", Json::number(kClients));
+  doc.set("msgs_per_client", Json::number(kMsgsPerClient));
+  return doc;
 }
 
 /// Before/after record of the zero-copy wire fabric change: prior numbers
@@ -231,57 +219,52 @@ std::map<std::pair<int, std::string>, double> read_baseline() {
 void write_wire_json(
     const std::vector<ConfigResult>& results,
     const std::map<std::pair<int, std::string>, double>& baseline) {
-  std::ofstream out("BENCH_wire.json");
-  if (!out) return;
-  out << "{\"bench\":\"wire_fabric_before_after\",\"backend\":\"runtime\","
-      << "\"f\":1,\"clients\":" << kClients
-      << ",\"msgs_per_client\":" << kMsgsPerClient
-      << ",\"baseline_source\":\""
-      << (baseline.empty() ? "none" : "BENCH_runtime.json") << "\","
-      << "\"configs\":[";
-  bool first = true;
+  Json configs = Json::array();
   for (const auto& r : results) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"groups\":" << r.groups << ",\"pattern\":\"" << r.pattern
-        << "\",\"throughput_after_msgs_s\":" << r.throughput;
+    Json c = Json::object();
+    c.set("groups", Json::number(r.groups));
+    c.set("pattern", Json::string(r.pattern));
+    c.set("throughput_after_msgs_s", Json::number(r.throughput));
     const auto it = baseline.find({r.groups, r.pattern});
     if (it != baseline.end() && it->second > 0.0) {
       const double pct = 100.0 * (r.throughput - it->second) / it->second;
-      out << ",\"throughput_before_msgs_s\":" << it->second
-          << ",\"improvement_pct\":" << pct;
+      c.set("throughput_before_msgs_s", Json::number(it->second));
+      c.set("improvement_pct", Json::number(pct));
     }
-    out << ",\"latency_mean_ms\":" << r.latency_mean_ms
-        << ",\"latency_p95_ms\":" << r.latency_p95_ms
-        << ",\"properties_ok\":" << (r.properties_ok ? "true" : "false");
+    c.set("latency_mean_ms", Json::number(r.latency_mean_ms));
+    c.set("latency_p95_ms", Json::number(r.latency_p95_ms));
+    c.set("properties_ok", Json::boolean(r.properties_ok));
     if (!r.properties_ok) {
-      out << ",\"properties_error\":\"" << r.properties_error << "\"";
+      c.set("properties_error", Json::string(r.properties_error));
     }
-    out << "}";
+    configs.push_back(std::move(c));
   }
-  out << "]}\n";
+  Json doc = bench_header("wire_fabric_before_after");
+  doc.set("baseline_source",
+          Json::string(baseline.empty() ? "none" : "BENCH_runtime.json"));
+  doc.set("configs", std::move(configs));
+  write_json_file("BENCH_wire.json", doc);
 }
 
 void write_bench_json(const std::vector<ConfigResult>& results) {
-  std::ofstream out("BENCH_runtime.json");
-  if (!out) return;
-  out << "{\"bench\":\"runtime_throughput\",\"backend\":\"runtime\","
-      << "\"f\":1,\"clients\":" << kClients
-      << ",\"msgs_per_client\":" << kMsgsPerClient << ",\"configs\":[";
-  bool first = true;
+  Json configs = Json::array();
   for (const auto& r : results) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"groups\":" << r.groups << ",\"pattern\":\"" << r.pattern
-        << "\",\"workers\":" << r.workers << ",\"completed\":" << r.completed
-        << ",\"elapsed_ms\":" << r.elapsed_ms
-        << ",\"throughput_msgs_s\":" << r.throughput
-        << ",\"latency_mean_ms\":" << r.latency_mean_ms
-        << ",\"latency_p95_ms\":" << r.latency_p95_ms
-        << ",\"a_deliveries\":" << r.deliveries
-        << ",\"wire_messages\":" << r.wire_messages << "}";
+    Json c = Json::object();
+    c.set("groups", Json::number(r.groups));
+    c.set("pattern", Json::string(r.pattern));
+    c.set("workers", Json::number(r.workers));
+    c.set("completed", Json::number(r.completed));
+    c.set("elapsed_ms", Json::number(r.elapsed_ms));
+    c.set("throughput_msgs_s", Json::number(r.throughput));
+    c.set("latency_mean_ms", Json::number(r.latency_mean_ms));
+    c.set("latency_p95_ms", Json::number(r.latency_p95_ms));
+    c.set("a_deliveries", Json::number(r.deliveries));
+    c.set("wire_messages", Json::number(r.wire_messages));
+    configs.push_back(std::move(c));
   }
-  out << "]}\n";
+  Json doc = bench_header("runtime_throughput");
+  doc.set("configs", std::move(configs));
+  write_json_file("BENCH_runtime.json", doc);
 }
 
 }  // namespace

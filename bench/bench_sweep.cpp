@@ -24,7 +24,6 @@
 //    optimization must not raise sustainable throughput).
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -123,8 +122,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream out(out_path);
-  if (out) out << workload::outcome_to_json(outcome).dump();
+  write_json_file(out_path, workload::outcome_to_json(outcome));
 
   int failures = 0;
   for (const workload::SweepCurve& curve : outcome.curves) {

@@ -13,12 +13,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/span.hpp"
 #include "core/multicast.hpp"
 #include "core/tree.hpp"
@@ -164,27 +164,32 @@ int main() {
       "ExperimentConfig::span_sample_every (0 = off). Target: sampled "
       "overhead < 5%%.\n");
 
-  std::ofstream out("BENCH_trace.json");
-  if (out) {
-    out << "{\"bench\":\"trace_overhead\",\"backend\":\"runtime\",\"f\":1,"
-        << "\"groups\":" << kGroups << ",\"pattern\":\"mixed\",\"clients\":"
-        << kClients << ",\"msgs_per_client\":" << kMsgsPerClient
-        << ",\"repeats\":" << kRepeats
-        << ",\"knob\":\"Client::set_trace_sample_every "
-           "(ExperimentConfig::span_sample_every); 0 = off\""
-        << ",\"target_sampled_overhead_pct\":5,\"configs\":[";
-    bool first = true;
-    for (const ModeResult* r : {&off, &sampled, &full}) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"mode\":\"" << r->mode << "\",\"sample_every\":"
-          << r->sample_every << ",\"throughput_msgs_s\":" << r->throughput;
-      if (r != &off) out << ",\"overhead_pct\":" << pct(*r);
-      out << ",\"spans_recorded\":" << r->spans << ",\"spans_dropped\":"
-          << r->dropped << "}";
-    }
-    out << "]}\n";
+  Json configs = Json::array();
+  for (const ModeResult* r : {&off, &sampled, &full}) {
+    Json c = Json::object();
+    c.set("mode", Json::string(r->mode));
+    c.set("sample_every", Json::number(r->sample_every));
+    c.set("throughput_msgs_s", Json::number(r->throughput));
+    if (r != &off) c.set("overhead_pct", Json::number(pct(*r)));
+    c.set("spans_recorded", Json::number(r->spans));
+    c.set("spans_dropped", Json::number(r->dropped));
+    configs.push_back(std::move(c));
   }
+  Json doc = Json::object();
+  doc.set("bench", Json::string("trace_overhead"));
+  doc.set("backend", Json::string("runtime"));
+  doc.set("f", Json::number(1));
+  doc.set("groups", Json::number(kGroups));
+  doc.set("pattern", Json::string("mixed"));
+  doc.set("clients", Json::number(kClients));
+  doc.set("msgs_per_client", Json::number(kMsgsPerClient));
+  doc.set("repeats", Json::number(kRepeats));
+  doc.set("knob", Json::string("Client::set_trace_sample_every "
+                               "(ExperimentConfig::span_sample_every); "
+                               "0 = off"));
+  doc.set("target_sampled_overhead_pct", Json::number(5));
+  doc.set("configs", std::move(configs));
+  write_json_file("BENCH_trace.json", doc);
 
   // Completion is the only hard gate; overhead numbers are host-dependent.
   int failures = 0;

@@ -28,7 +28,6 @@
 //  * the span-traced p50 cpu component shrinks at w=4 vs serial.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -293,8 +292,7 @@ int main(int argc, char** argv) {
     jtrace.set("staged_label", Json::string(staged->curve.label));
     doc.set("cpu_breakdown", std::move(jtrace));
   }
-  std::ofstream out(out_path);
-  if (out) out << doc.dump();
+  write_json_file(out_path, doc);
 
   int failures = 0;
   for (const VerticalCurve& vc : curves) {

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 namespace byzcast {
 
@@ -213,6 +216,11 @@ void write_escaped(std::string& out, const std::string& s) {
 }
 
 void write_number(std::string& out, double v) {
+  // JSON has no NaN or infinity.
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
   // Integers (the common case in configs) print without a fraction.
   if (v == std::floor(v) && std::abs(v) < 9.0e15) {
     out += std::to_string(static_cast<std::int64_t>(v));
@@ -370,6 +378,43 @@ std::string Json::dump() const {
   write(out, 0);
   out += "\n";
   return out;
+}
+
+bool write_json_file(const std::string& path, const Json& j,
+                     std::string* error) {
+  const auto fail = [error](const std::string& what) {
+    if (error != nullptr) *error = what;
+    return false;
+  };
+  const std::filesystem::path p(path);
+  std::error_code ec;
+  if (p.has_parent_path()) {
+    std::filesystem::create_directories(p.parent_path(), ec);
+  }
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) return fail("cannot write " + tmp);
+    out << j.dump();
+    if (!out.good()) return fail("short write to " + tmp);
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) return fail("rename " + tmp + ": " + ec.message());
+  return true;
+}
+
+std::optional<Json> read_json_file(const std::string& path,
+                                   std::string* error) {
+  std::ifstream in(path);
+  if (!in) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return std::nullopt;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto j = Json::parse(text.str(), error);
+  if (!j && error != nullptr) *error = path + ": " + *error;
+  return j;
 }
 
 bool operator==(const Json& a, const Json& b) {

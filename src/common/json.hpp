@@ -1,5 +1,6 @@
-// Minimal JSON value, parser and writer shared by the net backend's cluster
-// configuration files and the workload engine's spec files / sweep sidecars.
+// Minimal JSON value, parser and writer: the one writer behind every JSON
+// file the repo emits (sidecars, dumps, BENCH_*.json) and the parser of its
+// cluster configuration and workload spec files.
 // Hand-rolled because the repo deliberately carries no third-party
 // dependencies beyond gtest/benchmark: configs are small, so a simple
 // recursive-descent parser with a depth cap is plenty. Parsing never aborts —
@@ -78,6 +79,7 @@ class Json {
 
   /// Serializes with 2-space indentation and a trailing newline at top
   /// level; object member order is preserved, so parse(dump(x)) == x.
+  /// Non-finite numbers, which JSON cannot express, are written as null.
   [[nodiscard]] std::string dump() const;
 
   friend bool operator==(const Json& a, const Json& b);
@@ -92,5 +94,12 @@ class Json {
   std::vector<Json> arr_;
   std::vector<std::pair<std::string, Json>> obj_;
 };
+
+/// Writes `j.dump()` to `path` via a tmp file and a rename, creating the
+/// parent directory first. False (with prose in `error`) on IO failure.
+bool write_json_file(const std::string& path, const Json& j,
+                     std::string* error = nullptr);
+[[nodiscard]] std::optional<Json> read_json_file(const std::string& path,
+                                                 std::string* error = nullptr);
 
 }  // namespace byzcast

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 #include "common/contracts.hpp"
 
@@ -65,77 +64,45 @@ Timeseries& MetricsRegistry::timeseries(const std::string& name) {
   return timeseries_[name];
 }
 
-namespace {
-
-void json_number(std::ostream& os, double v) {
-  // JSON has no NaN/Inf; clamp to null.
-  if (v != v) {
-    os << "null";
-    return;
-  }
-  std::ostringstream tmp;
-  tmp.precision(12);
-  tmp << v;
-  os << tmp.str();
-}
-
-void json_key(std::ostream& os, const std::string& name, bool& first) {
-  if (!first) os << ",";
-  first = false;
-  os << '"' << name << "\":";  // metric names never need escaping
-}
-
-}  // namespace
-
-std::string MetricsRegistry::to_json() const {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
+Json MetricsRegistry::to_json() const {
+  Json counters = Json::object();
   for (const auto& [name, c] : counters_) {
-    json_key(os, name, first);
-    os << c.value();
+    counters.set(name, Json::number(c.value()));
   }
-  os << "},\"gauges\":{";
-  first = true;
+  Json gauges = Json::object();
   for (const auto& [name, g] : gauges_) {
-    json_key(os, name, first);
-    json_number(os, g.value());
+    gauges.set(name, Json::number(g.value()));
   }
-  os << "},\"histograms\":{";
-  first = true;
+  Json histograms = Json::object();
   for (const auto& [name, h] : histograms_) {
-    json_key(os, name, first);
-    os << "{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-      if (i) os << ",";
-      json_number(os, h.bounds()[i]);
-    }
-    os << "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts().size(); ++i) {
-      if (i) os << ",";
-      os << h.counts()[i];
-    }
-    os << "],\"count\":" << h.count() << ",\"sum\":";
-    json_number(os, h.sum());
-    os << "}";
+    Json bounds = Json::array();
+    for (const double b : h.bounds()) bounds.push_back(Json::number(b));
+    Json counts = Json::array();
+    for (const std::uint64_t n : h.counts()) counts.push_back(Json::number(n));
+    Json hj = Json::object();
+    hj.set("bounds", std::move(bounds));
+    hj.set("counts", std::move(counts));
+    hj.set("count", Json::number(h.count()));
+    hj.set("sum", Json::number(h.sum()));
+    histograms.set(name, std::move(hj));
   }
-  os << "},\"timeseries\":{";
-  first = true;
+  Json timeseries = Json::object();
   for (const auto& [name, ts] : timeseries_) {
-    json_key(os, name, first);
-    os << "[";
-    for (std::size_t i = 0; i < ts.points().size(); ++i) {
-      if (i) os << ",";
-      os << "[";
-      json_number(os, to_ms(ts.points()[i].first));
-      os << ",";
-      json_number(os, ts.points()[i].second);
-      os << "]";
+    Json points = Json::array();
+    for (const auto& [when, value] : ts.points()) {
+      Json point = Json::array();
+      point.push_back(Json::number(to_ms(when)));
+      point.push_back(Json::number(value));
+      points.push_back(std::move(point));
     }
-    os << "]";
+    timeseries.set(name, std::move(points));
   }
-  os << "}}";
-  return os.str();
+  Json j = Json::object();
+  j.set("counters", std::move(counters));
+  j.set("gauges", std::move(gauges));
+  j.set("histograms", std::move(histograms));
+  j.set("timeseries", std::move(timeseries));
+  return j;
 }
 
 }  // namespace byzcast

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/types.hpp"
 
 namespace byzcast {
@@ -128,9 +129,10 @@ class MetricsRegistry {
     return timeseries_;
   }
 
-  /// Whole registry as a JSON object string (hand-rolled; no dependencies).
-  /// Timeseries times are exported in fractional milliseconds.
-  [[nodiscard]] std::string to_json() const;
+  /// Whole registry as a JSON object: {"counters", "gauges", "histograms",
+  /// "timeseries"}, each keyed by metric name. Timeseries points are
+  /// [time in fractional milliseconds, value] pairs.
+  [[nodiscard]] Json to_json() const;
 
  private:
   mutable std::mutex mu_;  // guards map insertion only

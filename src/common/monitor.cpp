@@ -175,4 +175,14 @@ std::vector<Violation> MonitorHub::detailed_violations() const {
   return {detailed_.begin(), detailed_.end()};
 }
 
+Json MonitorHub::summary() const {
+  Json j = Json::object();
+  j.set("violations_total", Json::number(total_violations()));
+  for (const char* name :
+       {"fifo", "group_agreement", "acyclic_order", "bounded_pending"}) {
+    j.set(name, Json::number(violations(name)));
+  }
+  return j;
+}
+
 }  // namespace byzcast

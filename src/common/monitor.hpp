@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/types.hpp"
 
 namespace byzcast {
@@ -77,6 +78,9 @@ class MonitorHub {
   [[nodiscard]] std::uint64_t total_violations() const;
   [[nodiscard]] std::uint64_t violations(const std::string& monitor) const;
   [[nodiscard]] std::vector<Violation> detailed_violations() const;
+  /// {"violations_total", then one count per monitor}: the monitor summary
+  /// of the span sidecar and of /healthz.
+  [[nodiscard]] Json summary() const;
 
  private:
   void report(Violation v);

@@ -15,11 +15,12 @@
 //    of the Chrome trace. Off by default (set_actor_spans) because they cost
 //    one record per wire message.
 //
-// Like TraceLog, the log is append-only and capacity-bounded: when full,
-// recording stops (keeping early traces complete) and drops are counted so
-// exports report truncation instead of silently presenting partial data.
-// record() is thread-safe (runtime workers stamp concurrently); the readers
-// must only run after recording has quiesced.
+// The log is a run's one per-message trace. It is append-only and
+// capacity-bounded: when full, recording stops (keeping early traces
+// complete) and drops are counted so exports report truncation instead of
+// silently presenting partial data. record() is thread-safe (runtime
+// workers stamp concurrently); the readers must only run after recording
+// has quiesced.
 #pragma once
 
 #include <atomic>
@@ -57,8 +58,9 @@ enum class SpanKind : std::uint8_t {
 /// One timed interval. `where` is the stamping process; `group` is the group
 /// it acts for (invalid for client / infra spans outside any group).
 /// `detail` is kind-specific: the child GroupId for kRelay, the destination
-/// count for kEndToEnd, the consensus instance for kConsensusInstance, the
-/// wire-message type tag for actor spans.
+/// count for kEndToEnd, the message's tree depth (MulticastMessage::hop) for
+/// the other per-message kinds, the consensus instance for
+/// kConsensusInstance, the wire-message type tag for actor spans.
 struct Span {
   MessageId msg;  // invalid origin => infrastructure span
   SpanKind kind = SpanKind::kEndToEnd;
@@ -111,6 +113,18 @@ class SpanLog {
   std::unordered_map<MessageId, std::vector<std::uint32_t>> by_msg_;
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<bool> actor_spans_{false};
+};
+
+class MetricsRegistry;
+class MonitorHub;
+
+/// Bundle of non-owning observability sinks threaded through composition
+/// roots (ByzCastSystem, Simulation). Null members disable that sink; the
+/// default-constructed bundle makes every stamp a no-op.
+struct Observability {
+  MetricsRegistry* metrics = nullptr;
+  SpanLog* spans = nullptr;
+  MonitorHub* monitors = nullptr;
 };
 
 }  // namespace byzcast

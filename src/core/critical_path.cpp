@@ -246,4 +246,89 @@ CriticalPathAnalyzer::edge_latency() const {
   return out;
 }
 
+namespace {
+
+Json components_json(const Components& c) {
+  Json j = Json::object();
+  j.set("queueing_ns", Json::number(c.queueing));
+  j.set("cpu_ns", Json::number(c.cpu));
+  j.set("network_ns", Json::number(c.network));
+  j.set("quorum_wait_ns", Json::number(c.quorum_wait));
+  return j;
+}
+
+Json percentiles_json(const PercentileStats& s) {
+  Json j = Json::object();
+  j.set("n", Json::number(s.n));
+  j.set("p50_ns", Json::number(s.p50));
+  j.set("p99_ns", Json::number(s.p99));
+  return j;
+}
+
+Json aggregate_json(const ClassAggregate& a) {
+  Json j = Json::object();
+  j.set("n", Json::number(a.n));
+  j.set("end_to_end", percentiles_json(a.end_to_end));
+  j.set("queueing", percentiles_json(a.queueing));
+  j.set("cpu", percentiles_json(a.cpu));
+  j.set("network", percentiles_json(a.network));
+  j.set("quorum_wait", percentiles_json(a.quorum_wait));
+  return j;
+}
+
+}  // namespace
+
+Json spans_sidecar_json(const CriticalPathAnalyzer& analyzer, int f,
+                        std::uint64_t spans_recorded,
+                        std::uint64_t spans_dropped, Json monitor) {
+  Json doc = Json::object();
+  doc.set("schema", Json::string("byzcast-spans-v1"));
+  doc.set("f", Json::number(f));
+  doc.set("spans_recorded", Json::number(spans_recorded));
+  doc.set("spans_dropped", Json::number(spans_dropped));
+
+  Json messages = Json::array();
+  for (const MessageBreakdown& m : analyzer.messages()) {
+    Json msg = Json::object();
+    msg.set("id", Json::string(to_string(m.id)));
+    msg.set("complete", Json::boolean(m.complete));
+    msg.set("dst_count", Json::number(m.dst_count));
+    msg.set("global", Json::boolean(m.is_global));
+    msg.set("submitted_ns", Json::number(m.submitted));
+    msg.set("end_to_end_ns", Json::number(m.end_to_end));
+    if (m.complete) {
+      msg.set("critical_dst", Json::number(m.critical_dst.value));
+      msg.set("totals", components_json(m.totals));
+      Json hops = Json::array();
+      for (const HopBreakdown& h : m.hops) {
+        Json hop = Json::object();
+        hop.set("group", Json::number(h.group.value));
+        hop.set("replica", Json::number(h.replica.value));
+        hop.set("components", components_json(h.components));
+        hops.push_back(std::move(hop));
+      }
+      msg.set("hops", std::move(hops));
+    }
+    messages.push_back(std::move(msg));
+  }
+  doc.set("messages", std::move(messages));
+
+  Json aggregates = Json::object();
+  aggregates.set("local", aggregate_json(analyzer.aggregate(/*global=*/false)));
+  aggregates.set("global", aggregate_json(analyzer.aggregate(/*global=*/true)));
+  doc.set("aggregates", std::move(aggregates));
+
+  Json edges = Json::array();
+  for (const auto& [edge, stats] : analyzer.edge_latency()) {
+    Json e = Json::object();
+    e.set("parent", Json::number(edge.first.value));
+    e.set("child", Json::number(edge.second.value));
+    e.set("stats", percentiles_json(stats));
+    edges.push_back(std::move(e));
+  }
+  doc.set("edges", std::move(edges));
+  doc.set("monitor", std::move(monitor));
+  return doc;
+}
+
 }  // namespace byzcast::core

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/span.hpp"
 #include "common/types.hpp"
 
@@ -118,5 +119,15 @@ class CriticalPathAnalyzer {
   /// Ordering-to-ordering latency samples per (parent, child) path edge.
   std::map<std::pair<GroupId, GroupId>, std::vector<Time>> edge_samples_;
 };
+
+/// The "byzcast-spans-v1" sidecar: `analyzer`'s per-message breakdowns (by
+/// message id), local/global aggregates and per-tree-edge percentiles, plus
+/// `monitor` (a MonitorHub::summary(), or null when monitors were off). All
+/// times are integer nanoseconds, so same-seed simulator runs produce
+/// identical documents.
+[[nodiscard]] Json spans_sidecar_json(const CriticalPathAnalyzer& analyzer,
+                                      int f, std::uint64_t spans_recorded,
+                                      std::uint64_t spans_dropped,
+                                      Json monitor);
 
 }  // namespace byzcast::core

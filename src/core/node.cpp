@@ -47,12 +47,6 @@ bool ByzCastNode::valid_destinations(const MulticastMessage& m) const {
          std::adjacent_find(m.dst.begin(), m.dst.end()) == m.dst.end();
 }
 
-void ByzCastNode::stamp(const MulticastMessage& m, HopEvent event) const {
-  if (obs_.trace == nullptr) return;
-  obs_.trace->record(m.id, ctx_->group(), ctx_->self(), event, m.hop,
-                     ctx_->now());
-}
-
 GroupId ByzCastNode::entry_group(const MulticastMessage& m) const {
   return routing_ == Routing::kViaRoot ? tree_.root() : tree_.lca(m.dst);
 }
@@ -114,10 +108,7 @@ void ByzCastNode::execute(const bft::Request& req) {
       return;
     }
     auto& pending = copies_[m.id];
-    if (pending.senders.empty()) {
-      pending.first_seen = ctx_->now();
-      stamp(m, HopEvent::kEnterGroup);
-    }
+    if (pending.senders.empty()) pending.first_seen = ctx_->now();
     pending.senders.insert(req.origin);
     if (obs_.monitors != nullptr) {
       obs_.monitors->on_pending_copies(my_group, ctx_->self(), copies_.size(),
@@ -138,7 +129,6 @@ void ByzCastNode::execute(const bft::Request& req) {
   if (req.origin != m.id.origin) return;
   if (entry_group(m) != my_group) return;
   if (handled_.contains(m.id)) return;  // client retransmission
-  stamp(m, HopEvent::kEnterGroup);
   handle(m, req.op);
 }
 
@@ -158,7 +148,6 @@ void ByzCastNode::handle(const MulticastMessage& m, const Buffer& raw_op,
   // path and never re-open the entry.
   copies_.erase(m.id);
 
-  stamp(m, HopEvent::kOrdered);
   stamp_hop_spans(m, first_seen);
   if (obs_.metrics != nullptr) {
     if (ordered_ctr_ == nullptr) {
@@ -191,7 +180,6 @@ void ByzCastNode::handle(const MulticastMessage& m, const Buffer& raw_op,
   if (is_destination && !a_delivered_.contains(m.id)) {
     a_delivered_.insert(m.id);
     log_.record(my_group, ctx_->self(), m.id, ctx_->now());
-    stamp(m, HopEvent::kADelivered);
     if (obs_.spans != nullptr && m.traced()) {
       obs_.spans->record(Span{m.id, SpanKind::kADeliver, my_group,
                               ctx_->self(), ctx_->now(), ctx_->now(),
@@ -266,7 +254,6 @@ void ByzCastNode::send_copy(GroupId child, const MulticastMessage& m,
                             const Bytes& encoded_op) {
   const auto it = registry_.find(child);
   BZC_ASSERT(it != registry_.end());
-  stamp(m, HopEvent::kRelayed);
   if (obs_.spans != nullptr && m.traced()) {
     obs_.spans->record(Span{m.id, SpanKind::kRelay, ctx_->group(),
                             ctx_->self(), ctx_->now(), ctx_->now(),

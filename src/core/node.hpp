@@ -22,7 +22,7 @@
 #include "bft/fault.hpp"
 #include "bft/replica.hpp"
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
+#include "common/span.hpp"
 #include "core/delivery_log.hpp"
 #include "core/multicast.hpp"
 #include "core/tree.hpp"
@@ -108,7 +108,6 @@ class ByzCastNode final : public bft::Application {
                  const Bytes& encoded_op);
   [[nodiscard]] bool valid_destinations(const MulticastMessage& m) const;
   void sweep_stale_copies();
-  void stamp(const MulticastMessage& m, HopEvent event) const;
   /// Stamps the traced message's per-hop span chain (wire -> mailbox -> CPU
   /// -> consensus phases -> execute -> f+1 order wait) at the moment this
   /// replica genuinely orders it. No-op when spans are off or m is not

@@ -9,8 +9,8 @@ ByzCastSystem::ByzCastSystem(sim::ExecutionEnv& env, OverlayTree tree, int f,
                              Observability obs)
     : env_(env), tree_(std::move(tree)), f_(f), routing_(routing), obs_(obs) {
   BZC_EXPECTS(tree_.finalized());
-  if (obs_.metrics != nullptr || obs_.trace != nullptr ||
-      obs_.spans != nullptr || obs_.monitors != nullptr) {
+  if (obs_.metrics != nullptr || obs_.spans != nullptr ||
+      obs_.monitors != nullptr) {
     env_.attach_observability(obs_);
   }
   for (const GroupId g : tree_.all_groups()) {

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 
@@ -92,40 +91,43 @@ void write_artifacts(const Args& args, net::ClusterNode& node) {
   dump.monitor_violations = node.monitors().total_violations();
   dump.records = node.delivery_log().records();
   std::string error;
-  if (!net::write_json_file(args.out_dir + "/delivery_" + name + ".json",
-                            net::delivery_dump_to_json(dump), &error)) {
+  if (!write_json_file(args.out_dir + "/delivery_" + name + ".json",
+                       net::delivery_dump_to_json(dump), &error)) {
     std::fprintf(stderr, "byzcastd[%s]: %s\n", name.c_str(), error.c_str());
   }
 
-  // Metrics sidecar: the registry dumps itself as JSON; transport and env
-  // counters are appended by hand around it.
+  // Metrics sidecar: transport and env counters next to the registry.
   const auto tr = node.env().transport().stats();
   const auto& es = node.env().stats();
-  std::ofstream out(args.out_dir + "/metrics_" + name + ".json",
-                    std::ios::trunc);
-  if (out) {
-    out << "{\"node\":\"" << name << "\""
-        << ",\"monitor_violations\":" << dump.monitor_violations
-        << ",\"deliveries\":" << dump.records.size()
-        << ",\"transport\":{"
-        << "\"messages_sent\":" << tr.messages_sent
-        << ",\"messages_received\":" << tr.messages_received
-        << ",\"bytes_sent\":" << tr.bytes_sent
-        << ",\"bytes_received\":" << tr.bytes_received
-        << ",\"dropped_no_route\":" << tr.dropped_no_route
-        << ",\"dropped_queue_full\":" << tr.dropped_queue_full
-        << ",\"dropped_decode\":" << tr.dropped_decode
-        << ",\"connect_attempts\":" << tr.connect_attempts
-        << ",\"reconnects\":" << tr.reconnects
-        << ",\"inbound_accepted\":" << tr.inbound_accepted
-        << ",\"inbound_resets\":" << tr.inbound_resets
-        << ",\"send_queue_high_water\":" << tr.send_queue_high_water << "}"
-        << ",\"env\":{"
-        << "\"local_deliveries\":" << es.local_deliveries
-        << ",\"remote_sends\":" << es.remote_sends
-        << ",\"ghost_send_drops\":" << es.ghost_send_drops
-        << ",\"no_actor_drops\":" << es.no_actor_drops << "}"
-        << ",\"registry\":" << node.metrics().to_json() << "}\n";
+  Json transport = Json::object();
+  transport.set("messages_sent", Json::number(tr.messages_sent));
+  transport.set("messages_received", Json::number(tr.messages_received));
+  transport.set("bytes_sent", Json::number(tr.bytes_sent));
+  transport.set("bytes_received", Json::number(tr.bytes_received));
+  transport.set("dropped_no_route", Json::number(tr.dropped_no_route));
+  transport.set("dropped_queue_full", Json::number(tr.dropped_queue_full));
+  transport.set("dropped_decode", Json::number(tr.dropped_decode));
+  transport.set("connect_attempts", Json::number(tr.connect_attempts));
+  transport.set("reconnects", Json::number(tr.reconnects));
+  transport.set("inbound_accepted", Json::number(tr.inbound_accepted));
+  transport.set("inbound_resets", Json::number(tr.inbound_resets));
+  transport.set("send_queue_high_water",
+                Json::number(tr.send_queue_high_water));
+  Json env = Json::object();
+  env.set("local_deliveries", Json::number(es.local_deliveries));
+  env.set("remote_sends", Json::number(es.remote_sends));
+  env.set("ghost_send_drops", Json::number(es.ghost_send_drops));
+  env.set("no_actor_drops", Json::number(es.no_actor_drops));
+  Json metrics = Json::object();
+  metrics.set("node", Json::string(name));
+  metrics.set("monitor_violations", Json::number(dump.monitor_violations));
+  metrics.set("deliveries", Json::number(dump.records.size()));
+  metrics.set("transport", std::move(transport));
+  metrics.set("env", std::move(env));
+  metrics.set("registry", node.metrics().to_json());
+  if (!write_json_file(args.out_dir + "/metrics_" + name + ".json", metrics,
+                       &error)) {
+    std::fprintf(stderr, "byzcastd[%s]: %s\n", name.c_str(), error.c_str());
   }
 }
 

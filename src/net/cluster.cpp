@@ -184,15 +184,7 @@ Json ClusterNode::healthz_json() {
   h.set("spans_recorded", Json::number(spans_.spans().size()));
   h.set("spans_dropped", Json::number(spans_.dropped()));
 
-  Json mon = Json::object();
-  mon.set("violations_total", Json::number(monitors_.total_violations()));
-  mon.set("fifo", Json::number(monitors_.violations("fifo")));
-  mon.set("group_agreement",
-          Json::number(monitors_.violations("group_agreement")));
-  mon.set("acyclic_order", Json::number(monitors_.violations("acyclic_order")));
-  mon.set("bounded_pending",
-          Json::number(monitors_.violations("bounded_pending")));
-  h.set("monitor", std::move(mon));
+  h.set("monitor", monitors_.summary());
 
   const Transport::Stats ts = env_->transport().stats();
   Json tr = Json::object();

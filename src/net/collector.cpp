@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "common/span_export.hpp"
-#include "core/critical_path.hpp"
 
 namespace byzcast::net {
 
@@ -290,155 +289,45 @@ std::vector<ScrapeTarget> introspect_targets(const ClusterConfig& cfg) {
   return out;
 }
 
-namespace {
-
-void json_components(std::ostream& out, const core::Components& c) {
-  out << "{\"queueing_ns\":" << c.queueing << ",\"cpu_ns\":" << c.cpu
-      << ",\"network_ns\":" << c.network
-      << ",\"quorum_wait_ns\":" << c.quorum_wait << "}";
-}
-
-void json_pcts(std::ostream& out, const core::PercentileStats& s) {
-  out << "{\"n\":" << s.n << ",\"p50_ns\":" << s.p50 << ",\"p99_ns\":" << s.p99
-      << "}";
-}
-
-void json_aggregate(std::ostream& out, const core::ClassAggregate& a) {
-  out << "{\"n\":" << a.n << ",\"end_to_end\":";
-  json_pcts(out, a.end_to_end);
-  out << ",\"queueing\":";
-  json_pcts(out, a.queueing);
-  out << ",\"cpu\":";
-  json_pcts(out, a.cpu);
-  out << ",\"network\":";
-  json_pcts(out, a.network);
-  out << ",\"quorum_wait\":";
-  json_pcts(out, a.quorum_wait);
-  out << "}";
-}
-
-/// The merged sidecar: byte-compatible with workload::write_span_sidecar's
-/// byzcast-spans-v1 (so check_trace.py / plot_benches.py consume it
-/// unchanged), with the monitor section fed from the /healthz scrapes and
-/// one extra "cluster" object describing the per-process captures and
-/// clock corrections.
-bool write_merged_sidecar(const std::string& path, const SpanLog& log, int f,
-                          const MergeResult& result,
-                          const core::CriticalPathAnalyzer& analyzer,
-                          std::string* error) {
-  std::ofstream out(path);
-  if (!out) return fail(error, "cannot write " + path);
-
-  out << "{\"schema\":\"" << kMergedSpansSchema << "\"";
-  out << ",\"f\":" << f;
-  out << ",\"spans_recorded\":" << log.spans().size();
-  out << ",\"spans_dropped\":" << result.spans_dropped;
-
-  out << ",\"messages\":[";
-  bool first = true;
-  for (const auto& m : analyzer.messages()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"id\":\"p" << m.id.origin.value << ":" << m.id.seq
-        << "\",\"complete\":" << (m.complete ? "true" : "false")
-        << ",\"dst_count\":" << m.dst_count
-        << ",\"global\":" << (m.is_global ? "true" : "false")
-        << ",\"submitted_ns\":" << m.submitted
-        << ",\"end_to_end_ns\":" << m.end_to_end;
-    if (m.complete) {
-      out << ",\"critical_dst\":" << m.critical_dst.value << ",\"totals\":";
-      json_components(out, m.totals);
-      out << ",\"hops\":[";
-      bool hop_first = true;
-      for (const auto& h : m.hops) {
-        if (!hop_first) out << ",";
-        hop_first = false;
-        out << "{\"group\":" << h.group.value
-            << ",\"replica\":" << h.replica.value << ",\"components\":";
-        json_components(out, h.components);
-        out << "}";
-      }
-      out << "]";
+Json merged_spans_json(const core::CriticalPathAnalyzer& analyzer, int f,
+                       const MergeResult& result) {
+  // Each /healthz that answered carries its process's MonitorHub::summary();
+  // the cluster's monitor section is their member-wise sum.
+  Json monitor;
+  for (const NodeCapture& node : result.nodes) {
+    const Json& m = node.healthz.get("monitor");
+    if (!m.is_object()) continue;
+    if (monitor.is_null()) monitor = Json::object();
+    for (const auto& [name, count] : m.members()) {
+      monitor.set(name, Json::number(monitor.get(name).as_double() +
+                                     count.as_double()));
     }
-    out << "}";
   }
-  out << "]";
+  Json doc = core::spans_sidecar_json(analyzer, f, result.merged_spans,
+                                      result.spans_dropped,
+                                      std::move(monitor));
 
-  out << ",\"aggregates\":{\"local\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/false));
-  out << ",\"global\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/true));
-  out << "}";
-
-  out << ",\"edges\":[";
-  first = true;
-  for (const auto& [edge, stats] : analyzer.edge_latency()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"parent\":" << edge.first.value
-        << ",\"child\":" << edge.second.value << ",\"stats\":";
-    json_pcts(out, stats);
-    out << "}";
-  }
-  out << "]";
-
-  // Summed across every /healthz that answered; per-monitor names match the
-  // in-process writer so validators treat both identically.
-  out << ",\"monitor\":";
-  std::uint64_t fifo = 0;
-  std::uint64_t agreement = 0;
-  std::uint64_t acyclic = 0;
-  std::uint64_t pending = 0;
-  bool any_healthz = false;
+  Json nodes = Json::array();
   for (const NodeCapture& node : result.nodes) {
-    const Json& h = node.healthz;
-    if (!h.is_object() || !h.get("monitor").is_object()) continue;
-    any_healthz = true;
-    const Json& m = h.get("monitor");
-    fifo += static_cast<std::uint64_t>(m.int_or("fifo", 0));
-    agreement += static_cast<std::uint64_t>(m.int_or("group_agreement", 0));
-    acyclic += static_cast<std::uint64_t>(m.int_or("acyclic_order", 0));
-    pending += static_cast<std::uint64_t>(m.int_or("bounded_pending", 0));
-  }
-  if (any_healthz) {
-    out << "{\"violations_total\":" << result.monitor_violations
-        << ",\"fifo\":" << fifo << ",\"group_agreement\":" << agreement
-        << ",\"acyclic_order\":" << acyclic
-        << ",\"bounded_pending\":" << pending << "}";
-  } else {
-    out << "null";
-  }
-
-  out << ",\"cluster\":{\"nodes\":[";
-  first = true;
-  for (const NodeCapture& node : result.nodes) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"node\":\"" << node.target.name
-        << "\",\"ok\":" << (node.ok ? "true" : "false");
+    Json n = Json::object();
+    n.set("node", Json::string(node.target.name));
+    n.set("ok", Json::boolean(node.ok));
     if (node.ok) {
-      out << ",\"clock_offset_ns\":" << node.clock.offset
-          << ",\"clock_min_rtt_ns\":" << node.clock.min_rtt
-          << ",\"clock_samples\":" << node.clock.samples
-          << ",\"spans\":" << node.raw.spans.size()
-          << ",\"spans_dropped\":" << node.raw.dropped;
+      n.set("clock_offset_ns", Json::number(node.clock.offset));
+      n.set("clock_min_rtt_ns", Json::number(node.clock.min_rtt));
+      n.set("clock_samples", Json::number(node.clock.samples));
+      n.set("spans", Json::number(node.raw.spans.size()));
+      n.set("spans_dropped", Json::number(node.raw.dropped));
     } else {
-      // Prose only; escape the two characters that can break the JSON.
-      std::string msg;
-      for (const char c : node.error) {
-        if (c == '"' || c == '\\') msg += '\\';
-        msg += c;
-      }
-      out << ",\"error\":\"" << msg << "\"";
+      n.set("error", Json::string(node.error));
     }
-    out << "}";
+    nodes.push_back(std::move(n));
   }
-  out << "]}";
-  out << "}\n";
-  return out.good();
+  Json cluster = Json::object();
+  cluster.set("nodes", std::move(nodes));
+  doc.set("cluster", std::move(cluster));
+  return doc;
 }
-
-}  // namespace
 
 MergeResult collect_and_merge(const ClusterConfig& cfg,
                               const std::string& out_dir, int clock_samples,
@@ -540,8 +429,8 @@ MergeResult collect_and_merge(const ClusterConfig& cfg,
   }
 
   std::string error;
-  if (!write_merged_sidecar(out_dir + "/cluster_spans.json", log, cfg.f,
-                            result, analyzer, &error)) {
+  if (!write_json_file(out_dir + "/cluster_spans.json",
+                       merged_spans_json(analyzer, cfg.f, result), &error)) {
     result.error = error;
     return result;
   }

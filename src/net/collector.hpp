@@ -27,14 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/span.hpp"
+#include "core/critical_path.hpp"
 #include "net/config.hpp"
-#include "net/json.hpp"
 
 namespace byzcast::net {
 
 inline constexpr const char* kRawSpansSchema = "byzcast-raw-spans-v1";
-inline constexpr const char* kMergedSpansSchema = "byzcast-spans-v1";
 
 // --- raw span exchange format (served by /spans) --------------------------
 
@@ -113,6 +113,14 @@ struct MergeResult {
   std::size_t traced_messages = 0;
   std::size_t complete_messages = 0;
 };
+
+/// The merged byzcast-spans-v1 sidecar of a collection: the shared
+/// core::spans_sidecar_json document over the merged spans, its monitor
+/// section summed over every /healthz that answered, plus a "cluster"
+/// object describing the per-process captures and clock corrections.
+[[nodiscard]] Json merged_spans_json(
+    const core::CriticalPathAnalyzer& analyzer, int f,
+    const MergeResult& result);
 
 /// Scrapes every target of `cfg` live (clock offsets, /spans, /healthz),
 /// aligns all spans onto the collector timeline and writes

@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/tree.hpp"
-#include "net/json.hpp"
 #include "net/transport.hpp"
 #include "sim/profile.hpp"
 

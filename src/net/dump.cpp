@@ -1,10 +1,7 @@
 #include "net/dump.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace byzcast::net {
 
@@ -123,35 +120,6 @@ std::optional<SentDump> sent_dump_from_json(const Json& j,
     dump.sent.push_back(std::move(s));
   }
   return dump;
-}
-
-bool write_json_file(const std::string& path, const Json& j,
-                     std::string* error) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return fail(error, "cannot write " + tmp);
-    out << j.dump();
-    if (!out.good()) return fail(error, "short write to " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return fail(error, "rename " + tmp + ": " + ec.message());
-  return true;
-}
-
-std::optional<Json> read_json_file(const std::string& path,
-                                   std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    fail(error, "cannot open " + path);
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto j = Json::parse(text.str(), error);
-  if (!j && error) *error = path + ": " + *error;
-  return j;
 }
 
 DumpCheckResult check_cluster_dumps(

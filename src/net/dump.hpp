@@ -17,10 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/delivery_log.hpp"
 #include "core/properties.hpp"
 #include "net/config.hpp"
-#include "net/json.hpp"
 
 namespace byzcast::net {
 
@@ -44,12 +44,6 @@ struct SentDump {
     const Json& j, std::string* error);
 [[nodiscard]] std::optional<SentDump> sent_dump_from_json(
     const Json& j, std::string* error);
-
-/// Writes `j` to `path` atomically enough for our purposes (tmp + rename).
-bool write_json_file(const std::string& path, const Json& j,
-                     std::string* error);
-[[nodiscard]] std::optional<Json> read_json_file(const std::string& path,
-                                                 std::string* error);
 
 struct DumpCheckResult {
   bool ok = false;

@@ -42,7 +42,7 @@
 
 #include "common/auth.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
+#include "common/span.hpp"
 #include "net/event_loop.hpp"
 #include "net/transport.hpp"
 #include "sim/env.hpp"
@@ -109,7 +109,6 @@ class NetEnv final : public sim::ExecutionEnv {
   [[nodiscard]] MetricsRegistry* metrics() const override {
     return obs_.metrics;
   }
-  [[nodiscard]] TraceLog* trace() const override { return obs_.trace; }
   [[nodiscard]] SpanLog* spans() const override { return obs_.spans; }
   [[nodiscard]] ProcessId allocate_pid() override;
   [[nodiscard]] Rng fork_rng() override;

@@ -218,7 +218,7 @@ void write_load_artifacts(const Args& args, net::ClusterNode& node,
                           const std::vector<core::Client*>& clients,
                           const std::vector<std::vector<std::vector<GroupId>>>&
                               issued,
-                          net::Json summary, const char* csv_mode,
+                          Json summary, const char* csv_mode,
                           int issued_total, int completed, double elapsed_ms,
                           const LatencyRecorder& latency) {
   net::SentDump dump;
@@ -232,31 +232,31 @@ void write_load_artifacts(const Args& args, net::ClusterNode& node,
     }
   }
   std::string error;
-  if (!net::write_json_file(args.out_dir + "/sent_client.json",
-                            net::sent_dump_to_json(dump), &error)) {
+  if (!write_json_file(args.out_dir + "/sent_client.json",
+                       net::sent_dump_to_json(dump), &error)) {
     std::fprintf(stderr, "byzcast-loadgen: %s\n", error.c_str());
   }
 
   const auto tr = node.env().transport().stats();
   const double throughput = completed / (elapsed_ms / 1000.0);
-  summary.set("completed", net::Json::number(completed));
-  summary.set("total", net::Json::number(issued_total));
-  summary.set("elapsed_ms", net::Json::number(elapsed_ms));
-  summary.set("throughput_msgs_s", net::Json::number(throughput));
-  summary.set("latency_mean_ms", net::Json::number(latency.mean_ms()));
-  summary.set("latency_p50_ms", net::Json::number(latency.percentile_ms(50)));
-  summary.set("latency_p95_ms", net::Json::number(latency.percentile_ms(95)));
-  summary.set("latency_p99_ms", net::Json::number(latency.percentile_ms(99)));
+  summary.set("completed", Json::number(completed));
+  summary.set("total", Json::number(issued_total));
+  summary.set("elapsed_ms", Json::number(elapsed_ms));
+  summary.set("throughput_msgs_s", Json::number(throughput));
+  summary.set("latency_mean_ms", Json::number(latency.mean_ms()));
+  summary.set("latency_p50_ms", Json::number(latency.percentile_ms(50)));
+  summary.set("latency_p95_ms", Json::number(latency.percentile_ms(95)));
+  summary.set("latency_p99_ms", Json::number(latency.percentile_ms(99)));
   summary.set("bytes_sent",
-              net::Json::number(static_cast<double>(tr.bytes_sent)));
+              Json::number(static_cast<double>(tr.bytes_sent)));
   summary.set("bytes_received",
-              net::Json::number(static_cast<double>(tr.bytes_received)));
+              Json::number(static_cast<double>(tr.bytes_received)));
   summary.set("reconnects",
-              net::Json::number(static_cast<double>(tr.reconnects)));
+              Json::number(static_cast<double>(tr.reconnects)));
   summary.set("dropped_queue_full",
-              net::Json::number(static_cast<double>(tr.dropped_queue_full)));
-  if (!net::write_json_file(args.out_dir + "/loadgen_summary.json", summary,
-                            &error)) {
+              Json::number(static_cast<double>(tr.dropped_queue_full)));
+  if (!write_json_file(args.out_dir + "/loadgen_summary.json", summary,
+                       &error)) {
     std::fprintf(stderr, "byzcast-loadgen: %s\n", error.c_str());
   }
   workload::write_series_csv(
@@ -468,12 +468,12 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
   for (const double r : rates) offered += r;
   offered /= static_cast<double>(rates.size());
 
-  net::Json summary = net::Json::object();
-  summary.set("mode", net::Json::string("workload"));
-  summary.set("workload", net::Json::string(spec.name));
-  summary.set("offered_rate_msgs_s", net::Json::number(offered));
+  Json summary = Json::object();
+  summary.set("mode", Json::string("workload"));
+  summary.set("workload", Json::string(spec.name));
+  summary.set("offered_rate_msgs_s", Json::number(offered));
   summary.set("rate_behind_ns",
-              net::Json::number(static_cast<double>(behind)));
+              Json::number(static_cast<double>(behind)));
   write_load_artifacts(args, node, clients, issued, std::move(summary),
                        "workload", issued_total, completed, elapsed_ms,
                        latency);
@@ -582,9 +582,9 @@ int run_load(const Args& args, const net::ClusterConfig& cfg) {
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
 
-  net::Json summary = net::Json::object();
-  summary.set("mode", net::Json::string("closed-loop"));
-  summary.set("global_fraction", net::Json::number(args.global_fraction));
+  Json summary = Json::object();
+  summary.set("mode", Json::string("closed-loop"));
+  summary.set("global_fraction", Json::number(args.global_fraction));
   write_load_artifacts(args, node, clients, issued, std::move(summary),
                        "closed-loop", total, completed, elapsed_ms, latency);
 

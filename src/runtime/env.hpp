@@ -24,7 +24,7 @@
 
 #include "common/auth.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
+#include "common/span.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/stage_pool.hpp"
 #include "runtime/thread_network.hpp"
@@ -72,7 +72,6 @@ class RuntimeEnv final : public sim::ExecutionEnv {
   [[nodiscard]] MetricsRegistry* metrics() const override {
     return obs_.metrics;
   }
-  [[nodiscard]] TraceLog* trace() const override { return obs_.trace; }
   [[nodiscard]] SpanLog* spans() const override { return obs_.spans; }
   [[nodiscard]] ProcessId allocate_pid() override {
     return ProcessId{next_pid_.fetch_add(1, std::memory_order_relaxed)};

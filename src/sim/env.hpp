@@ -19,7 +19,7 @@
 
 #include "common/auth.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
+#include "common/span.hpp"
 #include "common/types.hpp"
 #include "sim/profile.hpp"
 #include "sim/wire.hpp"
@@ -48,7 +48,6 @@ class ExecutionEnv {
   /// disable that sink.
   virtual void attach_observability(Observability obs) = 0;
   [[nodiscard]] virtual MetricsRegistry* metrics() const = 0;
-  [[nodiscard]] virtual TraceLog* trace() const = 0;
   [[nodiscard]] virtual SpanLog* spans() const = 0;
 
   /// Allocates a fresh system-wide process id.

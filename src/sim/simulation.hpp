@@ -9,7 +9,6 @@
 
 #include "common/auth.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
 #include "sim/env.hpp"
 #include "sim/latency.hpp"
 #include "sim/network.hpp"
@@ -47,7 +46,6 @@ class Simulation final : public ExecutionEnv {
   [[nodiscard]] MetricsRegistry* metrics() const override {
     return obs_.metrics;
   }
-  [[nodiscard]] TraceLog* trace() const override { return obs_.trace; }
   [[nodiscard]] SpanLog* spans() const override { return obs_.spans; }
 
   /// Derives an independent RNG stream (per-actor randomness).

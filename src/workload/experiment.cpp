@@ -272,9 +272,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::unique_ptr<sim::MetricsSampler> sampler;
   if (config.observability) {
     result.metrics = std::make_shared<MetricsRegistry>();
-    result.trace = std::make_shared<TraceLog>(config.trace_capacity);
     obs.metrics = result.metrics.get();
-    obs.trace = result.trace.get();
     if (config.span_tracing) {
       result.spans = std::make_shared<SpanLog>(config.span_capacity);
       obs.spans = result.spans.get();

@@ -12,7 +12,6 @@
 #include "common/monitor.hpp"
 #include "common/span.hpp"
 #include "common/stats.hpp"
-#include "common/trace.hpp"
 #include "common/types.hpp"
 #include "workload/generator.hpp"
 
@@ -58,14 +57,13 @@ struct ExperimentConfig {
   Time warmup = 1 * kSecond;
   Time duration = 4 * kSecond;  // measurement window after warmup
   std::uint64_t seed = 42;
-  /// Observability: when true the run publishes per-group counters, hop
-  /// traces and sampled per-replica queue depth / CPU-busy fraction into
-  /// ExperimentResult::metrics / ::trace (see docs/ARCHITECTURE.md,
-  /// "Observability"). Costs a few percent of host time; disable for huge
-  /// parameter sweeps where only end-to-end numbers matter.
+  /// Observability: when true the run publishes per-group counters and
+  /// sampled per-replica queue depth / CPU-busy fraction into
+  /// ExperimentResult::metrics (see docs/ARCHITECTURE.md, "Observability").
+  /// Costs a few percent of host time; disable for huge parameter sweeps
+  /// where only end-to-end numbers matter.
   bool observability = true;
   Time sample_interval = 100 * kMillisecond;
-  std::size_t trace_capacity = TraceLog::kDefaultCapacity;
   /// Causal span tracing (docs/ARCHITECTURE.md, "Observability: spans,
   /// critical path, invariant monitors"): sampled client messages carry a
   /// trace flag on the wire and every Algorithm-1 stage stamps a Span, from
@@ -137,7 +135,6 @@ struct ExperimentResult {
   /// Populated when config.observability is on (shared_ptr keeps the result
   /// cheaply copyable); null otherwise.
   std::shared_ptr<MetricsRegistry> metrics;
-  std::shared_ptr<TraceLog> trace;
   /// Populated when config.span_tracing / config.monitors are on.
   std::shared_ptr<SpanLog> spans;
   std::shared_ptr<MonitorHub> monitors;

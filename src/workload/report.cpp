@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/span_export.hpp"
 #include "core/critical_path.hpp"
 
@@ -89,148 +90,32 @@ void write_series_csv(const std::string& path,
 void write_metrics_sidecar(const std::string& path,
                            const ExperimentResult& result) {
   if (!result.metrics) return;
-  auto out = open_csv(path);
-  if (!out) return;
-  out << "{\"summary\":{";
-  out << "\"throughput\":" << result.throughput;
-  out << ",\"throughput_local\":" << result.throughput_local;
-  out << ",\"throughput_global\":" << result.throughput_global;
-  out << ",\"completed\":" << result.completed;
-  out << ",\"a_deliveries\":" << result.a_deliveries;
-  out << ",\"wire_messages\":" << result.wire_messages;
-  out << ",\"latency_mean_ms\":" << result.latency_all.mean_ms();
-  out << ",\"latency_p95_ms\":" << result.latency_all.percentile_ms(95);
-  out << "},\"metrics\":" << result.metrics->to_json();
-
-  out << ",\"trace\":{";
-  if (result.trace) {
-    out << "\"events_recorded\":" << result.trace->records().size();
-    out << ",\"events_dropped\":" << result.trace->dropped();
-    const MessageId pick = result.trace->find_multi_hop();
-    out << ",\"example_multi_hop\":";
-    if (pick.origin.valid()) {
-      out << "{\"msg\":\"" << to_string(pick) << "\",\"hops\":[";
-      bool first = true;
-      for (const auto& rec : result.trace->path(pick)) {
-        if (!first) out << ",";
-        first = false;
-        out << "{\"group\":" << rec.group.value
-            << ",\"replica\":" << rec.replica.value << ",\"event\":\""
-            << to_string(rec.event) << "\",\"hop\":" << rec.hop
-            << ",\"t_ms\":" << to_ms(rec.when) << "}";
-      }
-      out << "]}";
-    } else {
-      out << "null";
-    }
-  } else {
-    out << "\"events_recorded\":0,\"events_dropped\":0,"
-           "\"example_multi_hop\":null";
-  }
-  out << "}}\n";
+  Json summary = Json::object();
+  summary.set("throughput", Json::number(result.throughput));
+  summary.set("throughput_local", Json::number(result.throughput_local));
+  summary.set("throughput_global", Json::number(result.throughput_global));
+  summary.set("completed", Json::number(result.completed));
+  summary.set("a_deliveries", Json::number(result.a_deliveries));
+  summary.set("wire_messages", Json::number(result.wire_messages));
+  summary.set("latency_mean_ms", Json::number(result.latency_all.mean_ms()));
+  summary.set("latency_p95_ms",
+              Json::number(result.latency_all.percentile_ms(95)));
+  Json doc = Json::object();
+  doc.set("summary", std::move(summary));
+  doc.set("metrics", result.metrics->to_json());
+  write_json_file(path, doc);
 }
-
-namespace {
-
-void json_components(std::ostream& out, const core::Components& c) {
-  out << "{\"queueing_ns\":" << c.queueing << ",\"cpu_ns\":" << c.cpu
-      << ",\"network_ns\":" << c.network << ",\"quorum_wait_ns\":"
-      << c.quorum_wait << "}";
-}
-
-void json_pcts(std::ostream& out, const core::PercentileStats& s) {
-  out << "{\"n\":" << s.n << ",\"p50_ns\":" << s.p50 << ",\"p99_ns\":"
-      << s.p99 << "}";
-}
-
-void json_aggregate(std::ostream& out, const core::ClassAggregate& a) {
-  out << "{\"n\":" << a.n << ",\"end_to_end\":";
-  json_pcts(out, a.end_to_end);
-  out << ",\"queueing\":";
-  json_pcts(out, a.queueing);
-  out << ",\"cpu\":";
-  json_pcts(out, a.cpu);
-  out << ",\"network\":";
-  json_pcts(out, a.network);
-  out << ",\"quorum_wait\":";
-  json_pcts(out, a.quorum_wait);
-  out << "}";
-}
-
-}  // namespace
 
 void write_span_sidecar(const std::string& path,
                         const ExperimentResult& result, int f) {
   if (!result.spans) return;
-  auto out = open_csv(path);
-  if (!out) return;
-
-  core::CriticalPathAnalyzer analyzer(*result.spans,
-                                      core::CriticalPathAnalyzer::Options{f});
-  out << "{\"schema\":\"byzcast-spans-v1\"";
-  out << ",\"f\":" << f;
-  out << ",\"spans_recorded\":" << result.spans->spans().size();
-  out << ",\"spans_dropped\":" << result.spans->dropped();
-
-  out << ",\"messages\":[";
-  bool first = true;
-  for (const auto& m : analyzer.messages()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"id\":\"" << to_string(m.id) << "\",\"complete\":"
-        << (m.complete ? "true" : "false") << ",\"dst_count\":" << m.dst_count
-        << ",\"global\":" << (m.is_global ? "true" : "false")
-        << ",\"submitted_ns\":" << m.submitted << ",\"end_to_end_ns\":"
-        << m.end_to_end;
-    if (m.complete) {
-      out << ",\"critical_dst\":" << m.critical_dst.value << ",\"totals\":";
-      json_components(out, m.totals);
-      out << ",\"hops\":[";
-      bool hop_first = true;
-      for (const auto& h : m.hops) {
-        if (!hop_first) out << ",";
-        hop_first = false;
-        out << "{\"group\":" << h.group.value << ",\"replica\":"
-            << h.replica.value << ",\"components\":";
-        json_components(out, h.components);
-        out << "}";
-      }
-      out << "]";
-    }
-    out << "}";
-  }
-  out << "]";
-
-  out << ",\"aggregates\":{\"local\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/false));
-  out << ",\"global\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/true));
-  out << "}";
-
-  out << ",\"edges\":[";
-  first = true;
-  for (const auto& [edge, stats] : analyzer.edge_latency()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"parent\":" << edge.first.value << ",\"child\":"
-        << edge.second.value << ",\"stats\":";
-    json_pcts(out, stats);
-    out << "}";
-  }
-  out << "]";
-
-  out << ",\"monitor\":";
-  if (result.monitors) {
-    out << "{\"violations_total\":" << result.monitors->total_violations();
-    for (const char* name :
-         {"fifo", "group_agreement", "acyclic_order", "bounded_pending"}) {
-      out << ",\"" << name << "\":" << result.monitors->violations(name);
-    }
-    out << "}";
-  } else {
-    out << "null";
-  }
-  out << "}\n";
+  const core::CriticalPathAnalyzer analyzer(
+      *result.spans, core::CriticalPathAnalyzer::Options{f});
+  write_json_file(
+      path, core::spans_sidecar_json(
+                analyzer, f, result.spans->spans().size(),
+                result.spans->dropped(),
+                result.monitors ? result.monitors->summary() : Json::null()));
 }
 
 void write_chrome_trace(const std::string& path,

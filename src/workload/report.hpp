@@ -37,22 +37,19 @@ void write_series_csv(const std::string& path,
                       const std::vector<std::vector<std::string>>& rows);
 
 /// Writes the machine-readable metrics sidecar for one experiment run as
-/// JSON: the whole MetricsRegistry (per-group a-delivery counters,
-/// per-replica CPU-busy / queue-depth timeseries, batch-size histograms),
-/// run summary numbers, and one reconstructed hop trace of a multi-hop
-/// (global) message when the run produced one. Benches emit this next to
-/// their CSVs; tools/plot_benches.py consumes it. No-op (removing any stale
-/// file is NOT attempted) when the run had observability disabled.
+/// JSON: run summary numbers and the whole MetricsRegistry (per-group
+/// a-delivery counters, per-replica CPU-busy / queue-depth timeseries,
+/// batch-size histograms). Benches emit this next to their CSVs;
+/// tools/plot_benches.py consumes it. No-op (removing any stale file is NOT
+/// attempted) when the run had observability disabled.
 void write_metrics_sidecar(const std::string& path,
                            const ExperimentResult& result);
 
-/// Writes the deterministic span sidecar (schema "byzcast-spans-v1") for a
-/// run with span tracing on: per-message critical-path breakdowns sorted by
-/// message id, local/global aggregates, per-tree-edge latency percentiles
-/// and monitor violation counts. All times are integer nanoseconds, so the
-/// file is byte-identical across same-seed simulation runs. No-op when the
-/// run had no SpanLog. `f` selects the representative replica per group
-/// (the (f+1)-th earliest a-delivery — the copy completing a reply quorum).
+/// Writes the deterministic span sidecar (core::spans_sidecar_json) for a
+/// run with span tracing on; byte-identical across same-seed simulation
+/// runs. No-op when the run had no SpanLog. `f` selects the representative
+/// replica per group (the (f+1)-th earliest a-delivery — the copy
+/// completing a reply quorum).
 void write_span_sidecar(const std::string& path,
                         const ExperimentResult& result, int f);
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace byzcast {
 namespace {
 
@@ -57,26 +55,29 @@ TEST(Metrics, JsonExportIsDeterministicAndWellFormed) {
   reg.timeseries("depth").append(kMillisecond, 3.0);
   reg.timeseries("depth").append(2 * kMillisecond, 4.0);
 
-  const std::string json = reg.to_json();
-  // Map iteration order: names sorted, so a.first precedes z.last.
-  EXPECT_LT(json.find("\"a.first\":1"), json.find("\"z.last\":2"));
-  EXPECT_NE(json.find("\"busy\":0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"counts\":[0,1,0]"), std::string::npos);
-  EXPECT_NE(json.find("\"depth\":[[1,3],[2,4]]"), std::string::npos);
-  // Byte-identical across calls (determinism for sidecar diffs).
-  EXPECT_EQ(json, reg.to_json());
-  // Balanced braces/brackets as a cheap well-formedness proxy.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  const Json json = reg.to_json();
+  // Member order included: names sorted, so a.first precedes z.last.
+  std::string err;
+  const auto expected = Json::parse(
+      R"({"counters": {"a.first": 1, "z.last": 2},
+          "gauges": {"busy": 0.5},
+          "histograms": {"batch": {"bounds": [1, 2], "counts": [0, 1, 0],
+                                   "count": 1, "sum": 1.5}},
+          "timeseries": {"depth": [[1, 3], [2, 4]]}})",
+      &err);
+  ASSERT_TRUE(expected.has_value()) << err;
+  EXPECT_EQ(json, *expected);
+  // Byte-identical across calls (determinism for sidecar diffs), and the
+  // written form parses back to the same document.
+  EXPECT_EQ(json.dump(), reg.to_json().dump());
+  EXPECT_EQ(Json::parse(json.dump()), json);
 }
 
 TEST(Metrics, EmptyRegistryExports) {
   MetricsRegistry reg;
-  EXPECT_EQ(reg.to_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{},"
-            "\"timeseries\":{}}");
+  EXPECT_EQ(reg.to_json(), Json::parse(R"({"counters": {}, "gauges": {},
+                                           "histograms": {},
+                                           "timeseries": {}})"));
 }
 
 }  // namespace

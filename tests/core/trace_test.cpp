@@ -1,12 +1,15 @@
-// Hop tracing end to end: a 2-group global message multicast through the
-// two-level tree must yield exactly the Algorithm 1 path — enter/ordered at
-// the lca (the auxiliary group), a relay into each destination child, then
-// enter/ordered/a-delivered at both children, with the wire hop counter 0 at
-// the lca and 1 below it.
+// Per-message tracing end to end: with every message sampled, the SpanLog
+// of a 2-group global message multicast through the two-level tree must
+// show exactly the Algorithm 1 path — ordered at the lca (the auxiliary
+// group) at hop 0 and relayed into each destination child, then order-wait
+// and a-delivery at both children at hop 1.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
+#include "common/span.hpp"
 #include "support/byzcast_harness.hpp"
 
 namespace byzcast::core {
@@ -15,63 +18,86 @@ namespace {
 using ::byzcast::testing::ByzCastHarness;
 using ::byzcast::testing::HarnessConfig;
 
+/// The spans of `id` stamped at `group` (the client's end-to-end span has
+/// no group and never matches).
+std::vector<Span> spans_at(const SpanLog& log, const MessageId& id,
+                           GroupId group) {
+  std::vector<Span> out;
+  for (const Span& s : log.of(id)) {
+    if (s.group == group) out.push_back(s);
+  }
+  return out;
+}
+
 TEST(Trace, TwoGroupGlobalMessagePath) {
   MetricsRegistry metrics;
-  TraceLog trace;
+  SpanLog spans;
   HarnessConfig cfg;
   cfg.num_targets = 2;
-  cfg.obs = Observability{&metrics, &trace};
+  cfg.obs.metrics = &metrics;
+  cfg.obs.spans = &spans;
+  cfg.trace_sample_every = 1;
   ByzCastHarness h(cfg);
   h.run_tracked(1, 1, [](int, int, Rng&) {
     return std::vector<GroupId>{GroupId{0}, GroupId{1}};
   });
   ASSERT_EQ(h.completions, 1);
   ASSERT_EQ(h.sent.size(), 1u);
-  EXPECT_EQ(trace.dropped(), 0u);
-
+  EXPECT_EQ(spans.dropped(), 0u);
   const MessageId id = h.sent[0].id;
-  EXPECT_EQ(trace.find_multi_hop(2), id);
-  EXPECT_EQ(trace.find_multi_hop(3), id);  // lca + both children
 
-  const std::vector<TraceRecord> path = trace.path(id);
-  // 3 events at the lca + 3 at each destination child.
-  ASSERT_EQ(path.size(), 9u);
-
+  // The lca orders the message at hop 0 and every replica relays it once
+  // into each destination child; nothing is a-delivered there.
   const GroupId lca{testing::kAuxBase};
-  const auto expect_hop = [&](std::size_t i, GroupId group, HopEvent event,
-                              std::uint32_t hop) {
-    EXPECT_EQ(path[i].group, group) << "hop " << i;
-    EXPECT_EQ(path[i].event, event) << "hop " << i;
-    EXPECT_EQ(path[i].hop, hop) << "hop " << i;
-    EXPECT_EQ(path[i].msg, id) << "hop " << i;
-  };
-  // The lca's prefix is fully ordered: enter -> ordered -> relayed, hop 0.
-  expect_hop(0, lca, HopEvent::kEnterGroup, 0);
-  expect_hop(1, lca, HopEvent::kOrdered, 0);
-  expect_hop(2, lca, HopEvent::kRelayed, 0);
-
-  // Each child then sees enter -> ordered -> a-delivered at hop 1; the two
-  // children interleave freely, so check per group instead of by index.
-  for (const GroupId child : {GroupId{0}, GroupId{1}}) {
-    std::vector<HopEvent> events;
-    for (std::size_t i = 3; i < path.size(); ++i) {
-      if (path[i].group != child) continue;
-      events.push_back(path[i].event);
-      EXPECT_EQ(path[i].hop, 1u) << "child " << child.value;
-      EXPECT_GE(path[i].when, path[2].when);
+  const std::vector<Span> at_lca = spans_at(spans, id, lca);
+  ASSERT_FALSE(at_lca.empty());
+  std::map<ProcessId, std::multiset<std::int64_t>> relays;
+  std::map<GroupId, Time> first_relay;
+  for (const Span& s : at_lca) {
+    EXPECT_NE(s.kind, SpanKind::kADeliver);
+    if (s.kind != SpanKind::kRelay) {
+      EXPECT_EQ(s.detail, 0) << to_string(s.kind);  // hop 0
+      continue;
     }
-    EXPECT_EQ(events,
-              (std::vector<HopEvent>{HopEvent::kEnterGroup, HopEvent::kOrdered,
-                                     HopEvent::kADelivered}))
-        << "child " << child.value;
+    relays[s.where].insert(s.detail);
+    const GroupId child{static_cast<std::int32_t>(s.detail)};
+    const auto it = first_relay.find(child);
+    if (it == first_relay.end() || s.begin < it->second) {
+      first_relay[child] = s.begin;
+    }
+  }
+  ASSERT_EQ(relays.size(), 4u);  // every lca replica relayed
+  for (const auto& [replica, children] : relays) {
+    EXPECT_EQ(children, (std::multiset<std::int64_t>{0, 1}))
+        << to_string(replica);
   }
 
-  // Timestamps along the reconstructed path never go backwards.
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    EXPECT_LE(path[i - 1].when, path[i].when);
+  // Each child's replicas wait for f+1 parent copies, then a-deliver, both
+  // at hop 1 and no earlier than the lca's first relay into that child.
+  for (const GroupId child : {GroupId{0}, GroupId{1}}) {
+    std::map<ProcessId, Time> order_wait_end;
+    std::map<ProcessId, Time> a_deliver;
+    for (const Span& s : spans_at(spans, id, child)) {
+      EXPECT_EQ(s.detail, 1) << to_string(s.kind) << " at "
+                             << to_string(child);
+      EXPECT_NE(s.kind, SpanKind::kRelay);
+      if (s.kind == SpanKind::kOrderWait) {
+        EXPECT_GE(s.begin, first_relay.at(child));
+        order_wait_end[s.where] = s.end;
+      } else if (s.kind == SpanKind::kADeliver) {
+        EXPECT_GE(s.begin, first_relay.at(child));
+        a_deliver[s.where] = s.begin;
+      }
+    }
+    EXPECT_EQ(order_wait_end.size(), 4u) << to_string(child);
+    ASSERT_EQ(a_deliver.size(), 4u) << to_string(child);
+    for (const auto& [replica, when] : a_deliver) {
+      ASSERT_TRUE(order_wait_end.contains(replica));
+      EXPECT_LE(order_wait_end.at(replica), when);
+    }
   }
 
-  // The per-group counters published alongside the trace agree with it:
+  // The per-group counters published alongside the spans agree with them:
   // every replica of every group ordered the one message, and both target
   // groups a-delivered it (4 replicas each).
   EXPECT_EQ(metrics.counter("node.ordered.g100").value(), 4u);
@@ -82,37 +108,29 @@ TEST(Trace, TwoGroupGlobalMessagePath) {
 }
 
 TEST(Trace, LocalMessageNeverLeavesItsGroup) {
-  MetricsRegistry metrics;
-  TraceLog trace;
+  SpanLog spans;
   HarnessConfig cfg;
   cfg.num_targets = 2;
-  cfg.obs = Observability{&metrics, &trace};
+  cfg.obs.spans = &spans;
+  cfg.trace_sample_every = 1;
   ByzCastHarness h(cfg);
   h.run_tracked(1, 1, [](int, int, Rng&) {
     return std::vector<GroupId>{GroupId{0}};
   });
   ASSERT_EQ(h.completions, 1);
 
-  // lca({g0}) = g0 itself: a single-group path, all at hop 0, no relay.
-  const std::vector<TraceRecord> path = trace.path(h.sent[0].id);
-  ASSERT_EQ(path.size(), 3u);
-  for (const TraceRecord& rec : path) {
-    EXPECT_EQ(rec.group, GroupId{0});
-    EXPECT_EQ(rec.hop, 0u);
-    EXPECT_NE(rec.event, HopEvent::kRelayed);
+  // lca({g0}) = g0 itself: a single-group path, all at hop 0, no relay and
+  // no wait for parent copies.
+  std::size_t a_delivered = 0;
+  for (const Span& s : spans.of(h.sent[0].id)) {
+    if (s.kind == SpanKind::kEndToEnd) continue;  // the client's own span
+    EXPECT_EQ(s.group, GroupId{0}) << to_string(s.kind);
+    EXPECT_EQ(s.detail, 0) << to_string(s.kind);
+    EXPECT_NE(s.kind, SpanKind::kRelay);
+    EXPECT_NE(s.kind, SpanKind::kOrderWait);
+    if (s.kind == SpanKind::kADeliver) ++a_delivered;
   }
-  EXPECT_FALSE(trace.find_multi_hop(2) == h.sent[0].id);
-}
-
-TEST(Trace, CapacityBoundDropsAreCounted) {
-  TraceLog trace(/*capacity=*/4);
-  const MessageId id{ProcessId{7}, 1};
-  for (int i = 0; i < 10; ++i) {
-    trace.record(id, GroupId{0}, ProcessId{1}, HopEvent::kOrdered, 0,
-                 i * kMillisecond);
-  }
-  EXPECT_EQ(trace.records().size(), 4u);
-  EXPECT_EQ(trace.dropped(), 6u);
+  EXPECT_EQ(a_delivered, 4u);
 }
 
 }  // namespace

@@ -120,10 +120,12 @@ TEST(Dump, WriteAndReadJsonFile) {
   Json j = Json::object();
   j.set("k", Json::number(7));
   std::string err;
-  ASSERT_TRUE(write_json_file(dir + "/x.json", j, &err)) << err;
+  // The parent directory is created on demand.
+  const std::string path = dir + "/sub/x.json";
+  ASSERT_TRUE(write_json_file(path, j, &err)) << err;
   // The tmp file is gone after the rename.
-  EXPECT_FALSE(std::filesystem::exists(dir + "/x.json.tmp"));
-  const auto back = read_json_file(dir + "/x.json", &err);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  const auto back = read_json_file(path, &err);
   ASSERT_TRUE(back.has_value()) << err;
   EXPECT_EQ(*back, j);
   EXPECT_FALSE(read_json_file(dir + "/missing.json", &err).has_value());

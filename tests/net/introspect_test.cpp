@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "core/multicast.hpp"
@@ -126,6 +127,50 @@ TEST(IntrospectServer, RejectsNonGetRequests) {
     EXPECT_NE(reply.find(" 400 "), std::string::npos) << reply;
   });
   EXPECT_EQ(server.stats().bad_requests, 1u);
+}
+
+// --- merged sidecar ----------------------------------------------------------
+
+TEST(Collector, MergedSidecarKeepsErrorProseAndSumsMonitors) {
+  // Two answering processes with their /healthz monitor summaries, and one
+  // whose error carries a scraped peer's HTTP status line verbatim, control
+  // characters included.
+  MergeResult result;
+  for (const std::int64_t fifo : {1, 2}) {
+    NodeCapture node;
+    node.target.name = "g0_r" + std::to_string(fifo);
+    node.ok = true;
+    node.clock.samples = 1;
+    Json monitor = Json::object();
+    monitor.set("violations_total", Json::number(fifo));
+    monitor.set("fifo", Json::number(fifo));
+    node.healthz = Json::object();
+    node.healthz.set("monitor", std::move(monitor));
+    result.nodes.push_back(std::move(node));
+  }
+  NodeCapture failed;
+  failed.target.name = "g0_r3";
+  failed.error =
+      "HTTP error from 127.0.0.1:1/spans: HTTP/1.0 500 Bad\tPeer\x01";
+  result.nodes.push_back(failed);
+
+  const SpanLog no_spans;
+  const core::CriticalPathAnalyzer analyzer(no_spans);
+  const std::string path =
+      ::testing::TempDir() + "collector_prose/cluster_spans.json";
+  std::string err;
+  ASSERT_TRUE(write_json_file(path, merged_spans_json(analyzer, 1, result),
+                              &err))
+      << err;
+  const auto doc = read_json_file(path, &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  EXPECT_EQ(doc->get("schema").as_string(), "byzcast-spans-v1");
+  EXPECT_EQ(doc->get("monitor").int_or("violations_total", -1), 3);
+  EXPECT_EQ(doc->get("monitor").int_or("fifo", -1), 3);
+  const Json& nodes = doc->get("cluster").get("nodes");
+  ASSERT_EQ(nodes.size(), 3u);
+  EXPECT_FALSE(nodes.at(2).get("ok").as_bool());
+  EXPECT_EQ(nodes.at(2).get("error").as_string(), failed.error);
 }
 
 // --- live-cluster integration ---------------------------------------------

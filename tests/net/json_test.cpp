@@ -1,13 +1,15 @@
 // The hand-rolled JSON layer under the cluster config: parse/dump round
 // trips, escape handling, and — critically — graceful rejection of malformed
 // input (configs are operator-supplied, so the parser must never abort).
-#include "net/json.hpp"
+#include "common/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 
-namespace byzcast::net {
+namespace byzcast {
 namespace {
 
 TEST(Json, ParsesScalars) {
@@ -60,6 +62,19 @@ TEST(Json, DumpParseRoundTrip) {
 TEST(Json, IntegersDumpWithoutFraction) {
   Json j = Json::number(7400);
   EXPECT_EQ(j.dump(), "7400\n");
+  // JSON has no NaN or infinity: they dump as null, which parses back.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::nan(""), kInf, -kInf}) {
+    EXPECT_EQ(Json::number(v).dump(), "null\n") << v;
+  }
+  Json arr = Json::array();
+  arr.push_back(Json::number(kInf));
+  arr.push_back(Json::number(1.5));
+  std::string err;
+  const auto back = Json::parse(arr.dump(), &err);
+  ASSERT_TRUE(back.has_value()) << err;
+  EXPECT_TRUE(back->at(0).is_null());
+  EXPECT_EQ(back->at(1).as_double(), 1.5);
 }
 
 TEST(Json, RejectsMalformedInput) {
@@ -101,4 +116,4 @@ TEST(Json, AccessorsAreTotalOnMismatch) {
 }
 
 }  // namespace
-}  // namespace byzcast::net
+}  // namespace byzcast

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
+#include "common/span.hpp"
 #include "core/multicast.hpp"
 #include "runtime/parallel_system.hpp"
 #include "support/properties.hpp"
@@ -35,10 +35,11 @@ TEST(RuntimeSystem, MixedWorkloadSatisfiesAtomicMulticastProperties) {
   const GroupId aux{100};
 
   MetricsRegistry metrics;
-  TraceLog trace;
+  SpanLog spans;
   ParallelOptions opts;
   opts.runtime.seed = 7;
-  opts.obs = Observability{&metrics, &trace};
+  opts.obs.metrics = &metrics;
+  opts.obs.spans = &spans;
   ParallelSystem system(core::OverlayTree::two_level(targets, aux), /*f=*/1,
                         opts);
   // Thread-per-group: 4 groups + 1 client worker.
@@ -47,6 +48,7 @@ TEST(RuntimeSystem, MixedWorkloadSatisfiesAtomicMulticastProperties) {
   std::vector<core::Client*> clients;
   for (int c = 0; c < 3; ++c) {
     clients.push_back(&system.add_client("client" + std::to_string(c)));
+    clients.back()->set_trace_sample_every(1);
   }
   system.start();
 
@@ -102,7 +104,8 @@ TEST(RuntimeSystem, MixedWorkloadSatisfiesAtomicMulticastProperties) {
   // and the shared recorders saw concurrent traffic without losing it.
   EXPECT_EQ(completions.load(), static_cast<int>(sent.size()));
   EXPECT_EQ(system.delivery_log().total_deliveries(), expected);
-  EXPECT_GT(trace.records().size(), 0u);
+  EXPECT_EQ(spans.traced_messages().size(), sent.size());
+  EXPECT_EQ(spans.dropped(), 0u);
   EXPECT_GT(metrics.counters().size(), 0u);
 }
 
@@ -112,7 +115,7 @@ TEST(RuntimeSystem, InjectedLatencyStillDeliversEverything) {
   ParallelOptions opts;
   opts.runtime.seed = 11;
   opts.runtime.net_delay = 2 * kMillisecond;  // every hop through the wheel
-  opts.obs = Observability{&metrics, nullptr};
+  opts.obs.metrics = &metrics;
   ParallelSystem system(core::OverlayTree::two_level(targets, GroupId{100}),
                         /*f=*/1, opts);
   core::Client& client = system.add_client("client0");

@@ -20,14 +20,14 @@ one per daemon, e.g. byzcast-ctl scrape's prom_*.txt). For each file:
 CLUSTER_SPANS_JSON is the merged sidecar written by `byzcast-ctl merge`
 (schema "byzcast-spans-v1" plus a "cluster" section). Checks:
 
-  * schema and cluster section are well-formed: per-node entries with
-    name, ok flag, clock estimate or error prose;
-  * every complete message's four-component totals sum exactly to its
-    end-to-end latency (integer ns — the telescoping invariant survives
-    the cross-process clock alignment);
-  * per-hop components are nonnegative;
-  * with --expect-nodes N, exactly N nodes were scraped successfully;
-  * with --expect-zero-violations, the summed monitor violations are 0.
+  * everything tools/check_trace.py checks of an in-process sidecar:
+    schema, messages, aggregates, edges and (with
+    --expect-zero-violations) the summed monitor violations being 0 —
+    including exact telescoping, which survives the cross-process clock
+    alignment;
+  * the cluster section is well-formed: per-node entries with name, ok
+    flag, clock estimate or error prose;
+  * with --expect-nodes N, exactly N nodes were scraped successfully.
 
 Exits nonzero after reporting every failure, so CI can gate on it.
 """
@@ -35,6 +35,8 @@ Exits nonzero after reporting every failure, so CI can gate on it.
 import json
 import re
 import sys
+
+import check_trace
 
 FAILURES = 0
 
@@ -137,70 +139,31 @@ def check_metrics_file(path):
           f"{len(histogram_metrics)} histograms")
 
 
-def check_components(comp, where):
-    total = 0
-    for key in ("queueing_ns", "cpu_ns", "network_ns", "quorum_wait_ns"):
-        v = comp.get(key)
-        if not require(isinstance(v, int), f"{where}.{key}: missing"):
-            return None
-        require(v >= 0, f"{where}.{key}: negative ({v})")
-        total += v
-    return total
-
-
 def check_cluster_spans(path, expect_nodes, expect_zero_violations):
-    with open(path) as fh:
-        doc = json.load(fh)
-
-    require(doc.get("schema") == "byzcast-spans-v1",
-            f"{path}: schema is {doc.get('schema')!r}")
-
+    doc = check_trace.check_spans(path, expect_zero_violations)
     cluster = doc.get("cluster")
-    if require(isinstance(cluster, dict), f"{path}: no cluster section"):
-        nodes = cluster.get("nodes", [])
-        ok_nodes = 0
-        for n in nodes:
-            name = n.get("node", "?")
-            if n.get("ok"):
-                ok_nodes += 1
-                require(isinstance(n.get("clock_offset_ns"), int),
-                        f"{path}: node {name} lacks clock_offset_ns")
-                require(n.get("clock_samples", 0) > 0,
-                        f"{path}: node {name} has no clock samples")
-                require(isinstance(n.get("spans"), int),
-                        f"{path}: node {name} lacks span count")
-            else:
-                require(n.get("error"),
-                        f"{path}: failed node {name} lacks error prose")
-        if expect_nodes is not None:
-            require(ok_nodes == expect_nodes,
-                    f"{path}: scraped {ok_nodes} nodes, expected "
-                    f"{expect_nodes}")
-        print(f"ok: {path}: cluster section, {ok_nodes}/{len(nodes)} "
-              f"nodes scraped")
-
-    messages = doc.get("messages", [])
-    complete = [m for m in messages if m.get("complete")]
-    for m in complete:
-        mid = m.get("id", "?")
-        total = check_components(m.get("totals", {}), f"{mid}.totals")
-        e2e = m.get("end_to_end_ns")
-        if total is not None and isinstance(e2e, int):
-            require(total == e2e,
-                    f"{path}: message {mid}: components sum {total} != "
-                    f"end_to_end {e2e} (telescoping broken)")
-        for i, hop in enumerate(m.get("hops", [])):
-            check_components(hop.get("components", {}), f"{mid}.hops[{i}]")
-    print(f"ok: {path}: {len(messages)} traced messages, "
-          f"{len(complete)} complete, telescoping exact")
-
-    monitor = doc.get("monitor")
-    if expect_zero_violations:
-        if require(isinstance(monitor, dict),
-                   f"{path}: monitor summary absent"):
-            total = monitor.get("violations_total")
-            require(total == 0,
-                    f"{path}: {total} monitor violations (expected 0)")
+    if not require(isinstance(cluster, dict), f"{path}: no cluster section"):
+        return
+    nodes = cluster.get("nodes", [])
+    ok_nodes = 0
+    for n in nodes:
+        name = n.get("node", "?")
+        if n.get("ok"):
+            ok_nodes += 1
+            require(isinstance(n.get("clock_offset_ns"), int),
+                    f"{path}: node {name} lacks clock_offset_ns")
+            require(n.get("clock_samples", 0) > 0,
+                    f"{path}: node {name} has no clock samples")
+            require(isinstance(n.get("spans"), int),
+                    f"{path}: node {name} lacks span count")
+        else:
+            require(n.get("error"),
+                    f"{path}: failed node {name} lacks error prose")
+    if expect_nodes is not None:
+        require(ok_nodes == expect_nodes,
+                f"{path}: scraped {ok_nodes} nodes, expected {expect_nodes}")
+    print(f"ok: {path}: cluster section, {ok_nodes}/{len(nodes)} "
+          f"nodes scraped")
 
 
 def main(argv):
@@ -240,8 +203,9 @@ def main(argv):
         except (OSError, json.JSONDecodeError) as err:
             fail(f"{spans}: {err}")
 
-    if FAILURES:
-        print(f"{FAILURES} failure(s)")
+    failures = FAILURES + check_trace.FAILURES
+    if failures:
+        print(f"{failures} failure(s)")
         return 1
     print("all cluster observability checks passed")
     return 0

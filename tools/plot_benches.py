@@ -6,9 +6,9 @@ Usage:
 
 Produces one PNG per CSV: CDFs as step plots, series tables as grouped line
 charts. Also parses the *_metrics.json observability sidecars (summaries,
-per-group a-delivery counters, CPU-busy / queue-depth timeseries, example
-multi-hop trace) and plots the timeseries. Requires matplotlib; degrades to
-a listing when it is missing.
+per-group a-delivery counters, CPU-busy / queue-depth timeseries) and plots
+the timeseries. Requires matplotlib; degrades to a listing when it is
+missing.
 """
 import csv
 import json
@@ -52,14 +52,6 @@ def summarize_sidecar(name, doc):
         peak = max(busy.values())
         print(f"  replica CPU busy: mean {mean:.1%}, peak {peak:.1%} "
               f"({len(busy)} replicas)")
-    trace = doc.get("trace", {})
-    hops = (trace.get("example_multi_hop") or {}).get("hops", [])
-    if hops:
-        path = " -> ".join(f"{h['event']}@{h['group']}" for h in hops)
-        print(f"  example trace ({len(hops)} hops): {path}")
-    dropped = trace.get("events_dropped", 0)
-    if dropped:
-        print(f"  WARNING: {dropped} trace events dropped (capacity)")
 
 
 def find_bench_json(src, name):
