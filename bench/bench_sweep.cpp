@@ -1,27 +1,18 @@
-// Offered-load sweep with saturation-knee detection (the workload engine's
-// flagship artifact). Default spec: ByzCast-2L on the WAN preset, 2 groups,
-// mixed 10:1 open-loop load swept from well under the sequential ceiling to
-// past the pipelined one, baseline (pipeline depth 4) next to the
-// pipeline_off ablation (depth 1). The SweepDriver classifies each point
-// against the low-load p99 plateau and goodput floor, bisects the knee, and
-// the result lands in BENCH_sweep.json ("byzcast-sweep-v1", validated by
-// tools/check_sweep.py, plotted by tools/plot_benches.py).
+// Runs a workload spec (configs/workloads/*.json) on the simulator: one
+// curve per spec curve — a latency-vs-offered-load sweep with saturation
+// knee detection, a fixed-rate point, or a step schedule — and writes the
+// "byzcast-sweep-v1" artifact (validated by tools/check_sweep.py, plotted
+// by tools/plot_benches.py). Curves differ only by knob values, e.g.
+// pipeline_depth 1 for the sequential protocol. With span tracing on,
+// every point also carries its critical-path breakdown per message class.
 //
-// Expected physics (calibrated by bench_pipeline): the depth-1 WAN group is
-// network-bound at ~2.9k msg/s, so the pipeline_off curve knees around 3k
-// offered, while the depth-4 baseline carries ~2x more before its knee —
-// the sweep turns that ablation delta into a single number per curve.
-//
-// Usage: bench_sweep [--spec <file.json>] [--out <file.json>]
-// Default spec: configs/workloads/wan_sweep.json schema, embedded below so
-// the bench runs without a checkout-relative path.
+// Usage: bench_sweep --spec <file.json> [--out <file.json>]
 //
 // In-process gates (deterministic simulation, stable in CI):
 //  * every measured point completes, with zero invariant-monitor violations
 //    and zero sample-capacity overflows;
-//  * every curve detects a knee inside the grid;
-//  * each ablation curve's knee does not exceed the baseline's (removing an
-//    optimization must not raise sustainable throughput).
+//  * every sweep curve detects a knee inside the grid;
+//  * every `expect` bound of a curve holds on its ratio to the first curve.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -30,38 +21,8 @@
 #include "workload/report.hpp"
 #include "workload/runner.hpp"
 
-namespace {
-
-using namespace byzcast;
-
-// Keep in sync with configs/workloads/wan_sweep.json (the file exists for
-// cluster/CI use; the bench embeds a copy to stay path-independent).
-constexpr const char* kDefaultSpec = R"json({
-  "name": "wan-sweep",
-  "protocol": "byzcast-2l",
-  "environment": "wan",
-  "num_groups": 2,
-  "f": 1,
-  "clients_per_group": 100,
-  "payload_size": 64,
-  "warmup_ms": 2000,
-  "duration_ms": 6000,
-  "seed": 42,
-  "monitors": true,
-  "workload": {"pattern": "mixed", "mixed_local": 10, "mixed_global": 1},
-  "rate": {
-    "kind": "sweep",
-    "rates": [1500, 3000, 4500, 6000, 7500, 9000],
-    "knee_p99_factor": 5.0,
-    "knee_goodput_floor": 0.95,
-    "bisect_iters": 3
-  },
-  "ablations": ["pipeline_off"]
-})json";
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace byzcast;
   std::string spec_path;
   std::string out_path = "BENCH_sweep.json";
   for (int i = 1; i < argc; ++i) {
@@ -70,31 +31,33 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_sweep [--spec file.json] [--out file.json]\n");
-      return 2;
+      spec_path.clear();  // unknown argument: print the usage below
+      break;
     }
+  }
+  if (spec_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_sweep --spec file.json [--out file.json]\n");
+    return 2;
   }
 
   std::string error;
-  std::optional<workload::WorkloadSpec> spec;
-  if (spec_path.empty()) {
-    const auto doc = Json::parse(kDefaultSpec, &error);
-    if (doc) spec = workload::parse_workload_spec(*doc, &error);
-  } else {
-    spec = workload::load_workload_spec(spec_path, &error);
-  }
+  const auto spec = workload::load_workload_spec(spec_path, &error);
   if (!spec) {
     std::fprintf(stderr, "bad workload spec: %s\n", error.c_str());
     return 2;
   }
 
+  const bool sweep =
+      spec->schedule.kind == workload::RateSchedule::Kind::kSweep;
   workload::print_header(
-      "Offered-load sweep '" + spec->name + "': " +
+      "Workload '" + spec->name + "': " +
       workload::to_string(spec->base.protocol) + " " +
       workload::to_string(spec->base.environment) + ", " +
-      std::to_string(spec->base.num_groups) + " groups, knee = first rate "
-      "with p99 > plateau x factor or goodput < floor, bisected");
+      std::to_string(spec->base.num_groups) + " groups" +
+      (sweep ? ", knee = first rate with p99 > plateau x factor or goodput "
+               "< floor, bisected"
+             : ""));
 
   const workload::WorkloadOutcome outcome = workload::run_workload(*spec);
 
@@ -111,12 +74,31 @@ int main(int argc, char** argv) {
     workload::print_table({"offered/s", "msgs/s", "goodput %", "p50 ms",
                            "p99 ms", "state", "violations"},
                           rows);
+    rows.clear();
+    for (const workload::SweepPoint& pt : curve.points) {
+      for (const bool global : {false, true}) {
+        const workload::ClassBreakdown& b = global ? pt.global : pt.local;
+        if (!pt.traced || b.n == 0) continue;
+        std::vector<std::string> row = {fmt(pt.offered, 0),
+                                        global ? "global" : "local",
+                                        std::to_string(b.n)};
+        for (const auto& [name, member] : workload::kBreakdownComponents) {
+          row.push_back(fmt(b.*member, 3));
+        }
+        rows.push_back(std::move(row));
+      }
+    }
+    if (!rows.empty()) {
+      workload::print_table({"offered/s", "class", "n", "e2e p50 ms",
+                             "queue p50", "cpu p50", "net p50", "quorum p50"},
+                            rows);
+    }
     if (curve.knee_found) {
       std::printf("knee: %.0f msg/s offered (p50 %.2f ms, p99 %.2f ms); "
                   "max healthy rate %.0f msg/s\n",
                   curve.knee.offered, curve.knee.p50_ms, curve.knee.p99_ms,
                   curve.max_unsaturated_rate);
-    } else {
+    } else if (sweep) {
       std::printf("no knee inside the grid (healthy through %.0f msg/s)\n",
                   curve.max_unsaturated_rate);
     }
@@ -124,6 +106,7 @@ int main(int argc, char** argv) {
 
   write_json_file(out_path, workload::outcome_to_json(outcome));
 
+  std::printf("\n");
   int failures = 0;
   for (const workload::SweepCurve& curve : outcome.curves) {
     for (const workload::SweepPoint& pt : curve.points) {
@@ -147,27 +130,19 @@ int main(int argc, char** argv) {
         ++failures;
       }
     }
-    if (!curve.knee_found) {
+    if (sweep && !curve.knee_found) {
       std::printf("FAIL: curve %s found no knee inside the grid\n",
                   curve.label.c_str());
       ++failures;
     }
   }
-  // An optimization turned off must not RAISE the ceiling. Ablations that
-  // don't move the knee at all (e.g. batch_adapt_off on the LAN, where the
-  // global-relay path dominates) bisect independently per curve, so allow
-  // one-bisection-step slack above the baseline before calling it a
-  // regression.
-  if (outcome.curves.size() >= 2 && outcome.curves.front().knee_found) {
-    const double base_knee = outcome.curves.front().knee.offered;
-    for (std::size_t i = 1; i < outcome.curves.size(); ++i) {
-      const workload::SweepCurve& abl = outcome.curves[i];
-      if (abl.knee_found && abl.knee.offered > base_knee * 1.2) {
-        std::printf("FAIL: ablation %s knees at %.0f msg/s, above the "
-                    "baseline's %.0f\n",
-                    abl.label.c_str(), abl.knee.offered, base_knee);
-        ++failures;
-      }
+  const std::vector<workload::CurveSpec> curves = workload::curves_of(*spec);
+  for (std::size_t i = 1; i < outcome.curves.size(); ++i) {
+    for (const workload::BoundCheck& check : workload::check_bounds(
+             outcome.curves[i], outcome.curves.front(), curves[i].expect)) {
+      std::printf("%s: expect %s\n", check.ok ? "ok" : "FAIL",
+                  check.text.c_str());
+      if (!check.ok) ++failures;
     }
   }
   return failures == 0 ? 0 : 1;

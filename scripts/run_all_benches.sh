@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Runs every benchmark binary (one per paper table/figure, plus ablations
-# and micro-benchmarks) and echoes the combined report. Fails loudly: a
-# nonzero bench exit or a missing expected BENCH_*.json artifact fails the
-# whole sweep instead of silently shrinking the report.
+# and micro-benchmarks), then bench_sweep on every workload spec in
+# configs/workloads/ (BENCH_<spec>.json each), and echoes the combined
+# report. Fails loudly: a nonzero bench exit or a missing spec artifact
+# fails the whole sweep instead of silently shrinking the report.
 set -u
 BUILD_DIR="${1:-build}"
+SPEC_DIR="$(dirname "$0")/../configs/workloads"
 FAILED=0
 for b in "$BUILD_DIR"/bench/*; do
   if [ -x "$b" ] && [ ! -d "$b" ]; then
@@ -13,7 +15,8 @@ for b in "$BUILD_DIR"/bench/*; do
       # deployment); they are driven by scripts/run_local_cluster.sh, not by
       # this sweep. bench_net_throughput IS self-contained (it builds its
       # own in-process cluster) and runs below like any other bench.
-      byzcastd|byzcast-loadgen) continue ;;
+      # bench_sweep runs once per spec file, after this loop.
+      byzcastd|byzcast-loadgen|bench_sweep) continue ;;
     esac
     echo
     echo "########## $(basename "$b") ##########"
@@ -24,8 +27,15 @@ for b in "$BUILD_DIR"/bench/*; do
   fi
 done
 
-# Gate-carrying artifacts the benches above must have produced in the cwd.
-for artifact in BENCH_sweep.json BENCH_vertical.json; do
+for spec in "$SPEC_DIR"/*.json; do
+  artifact="BENCH_$(basename "$spec" .json).json"
+  echo
+  echo "########## bench_sweep $(basename "$spec") ##########"
+  rm -f "$artifact"
+  if ! "$BUILD_DIR/bench/bench_sweep" --spec "$spec" --out "$artifact"; then
+    echo "FAILED: bench_sweep $(basename "$spec")"
+    FAILED=1
+  fi
   if [ ! -s "$artifact" ]; then
     echo "FAILED: expected artifact $artifact was not produced"
     FAILED=1

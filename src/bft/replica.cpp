@@ -199,7 +199,7 @@ bool Replica::sim_exec_model_on() const {
   // Pure simulation only: a real backend executes on real shard threads, and
   // under the wall-clock profile cpu_execute_per_msg is 0 so the model stays
   // inert even if shards are configured without a StagePool.
-  return env().stages() == nullptr && pr.effective_exec_shards() > 0 &&
+  return env().stages() == nullptr && pr.exec_shards > 0 &&
          pr.cpu_execute_per_msg > 0;
 }
 
@@ -309,10 +309,8 @@ void Replica::maybe_start_consensus() {
       const Time residual =
           std::max<Time>(0, window_delay() - (now() - window_armed_at_));
       consume_cpu(residual);
-      if (!pr.batch_adapt_off) {
-        batch_target_ = std::min<std::uint32_t>(
-            std::max<std::uint32_t>(1, pr.batch_max), batch_target_ * 2);
-      }
+      batch_target_ = std::min<std::uint32_t>(
+          std::max<std::uint32_t>(1, pr.batch_max), batch_target_ * 2);
       ++counters_.early_batch_cuts;
       do_propose();
     }
@@ -340,23 +338,20 @@ void Replica::maybe_start_consensus() {
       ++counters_.stale_window_drops;  // armed in a view we no longer lead
       return;
     }
-    const bool adapt = !env().profile().batch_adapt_off;
     if (pending_.size() >= batch_target_) {
       // The window elapsed with a full backlog (the pipeline was saturated,
       // so no intermediate call got to cut early): classify as a full cut
       // and grow, exactly as the early-cut path would.
-      if (adapt) {
-        batch_target_ = std::min<std::uint32_t>(
-            std::max<std::uint32_t>(1, env().profile().batch_max),
-            batch_target_ * 2);
-      }
+      batch_target_ = std::min<std::uint32_t>(
+          std::max<std::uint32_t>(1, env().profile().batch_max),
+          batch_target_ * 2);
       ++counters_.early_batch_cuts;
     } else {
       // Window expired underfull: shrink the target toward the observed
-      // backlog so future bursts cut without waiting the full window.
-      // Under the batch_adapt_off ablation the target stays frozen at
-      // batch_max, so every cut waits out the full window (fixed batching).
-      if (adapt && pending_.size() < batch_target_ / 2) {
+      // backlog so future bursts cut without waiting the full window. With
+      // batch_min == batch_max the floor holds the target at batch_max, so
+      // every cut waits out the full window (fixed batching).
+      if (pending_.size() < batch_target_ / 2) {
         batch_target_ = std::max<std::uint32_t>(
             std::max<std::uint32_t>(1, env().profile().batch_min),
             batch_target_ / 2);
@@ -629,7 +624,7 @@ void Replica::execute_batch(const Batch& batch) {
   // flushed as one wire message per origin.
   buffer_replies_ = true;
   if (sim_exec_model_on()) {
-    exec_bucket_.assign(env().profile().effective_exec_shards(), 0);
+    exec_bucket_.assign(env().profile().exec_shards, 0);
     exec_deferred_total_ = 0;
   }
   for (const auto& req : batch) deliver_fifo(req);

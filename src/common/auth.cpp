@@ -32,8 +32,8 @@ Digest fast_mac(std::uint64_t key64, BytesView data) {
 
 }  // namespace
 
-KeyStore::KeyStore(std::uint64_t master_seed, MacMode mode, bool verify_memo)
-    : master_seed_(master_seed), mode_(mode), verify_memo_(verify_memo) {}
+KeyStore::KeyStore(std::uint64_t master_seed, MacMode mode)
+    : master_seed_(master_seed), mode_(mode) {}
 
 std::uint64_t KeyStore::pair_key64(ProcessId a, ProcessId b) const {
   const std::int32_t lo = std::min(a.value, b.value);
@@ -67,10 +67,6 @@ bool Authenticator::verify(ProcessId from, BytesView data,
                            const Digest& mac) const {
   if (keys_->mode() == MacMode::kFast) {
     return fast_mac(keys_->pair_key64(from, self_), data) == mac;
-  }
-  if (!keys_->verify_memo()) {  // mac_memo_off ablation: always full HMAC
-    const Bytes key = keys_->pair_key(from, self_);
-    return hmac_sha256(key, data) == mac;
   }
   // Memo lookup: one SHA-256 pass over the payload instead of the full HMAC
   // when this exact (sender, payload, mac) triple was already verified. The

@@ -36,24 +36,18 @@ enum class MacMode { kHmac, kFast };
 /// because it is immutable after construction and keeps no other state.
 class KeyStore {
  public:
-  /// `verify_memo` gates the Authenticator's verification cache for every
-  /// process sharing this store (false = the mac_memo_off ablation: each
-  /// verification pays the full HMAC even for already-seen bytes).
-  explicit KeyStore(std::uint64_t master_seed, MacMode mode = MacMode::kHmac,
-                    bool verify_memo = true);
+  explicit KeyStore(std::uint64_t master_seed, MacMode mode = MacMode::kHmac);
 
   /// Symmetric key shared by the (unordered) pair {a, b}.
   [[nodiscard]] Bytes pair_key(ProcessId a, ProcessId b) const;
 
   [[nodiscard]] MacMode mode() const { return mode_; }
-  [[nodiscard]] bool verify_memo() const { return verify_memo_; }
   /// 64-bit key for the fast mode.
   [[nodiscard]] std::uint64_t pair_key64(ProcessId a, ProcessId b) const;
 
  private:
   std::uint64_t master_seed_;
   MacMode mode_;
-  bool verify_memo_;
 };
 
 /// A per-process capability for creating and checking MACs.

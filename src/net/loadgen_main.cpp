@@ -281,6 +281,12 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
                  "bench_sweep); use a fixed or step rate over TCP\n");
     return 2;
   }
+  if (!spec.curves.empty()) {
+    std::fprintf(stderr,
+                 "byzcast-loadgen: curves are sim-only (run bench_sweep); "
+                 "a TCP run drives one configuration\n");
+    return 2;
+  }
   const std::vector<double> rates =
       spec.schedule.kind == workload::RateSchedule::Kind::kStep
           ? spec.schedule.rates

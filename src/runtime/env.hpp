@@ -100,7 +100,7 @@ class RuntimeEnv final : public sim::ExecutionEnv {
   [[nodiscard]] ThreadNetwork& network() { return network_; }
   [[nodiscard]] const RuntimeOptions& options() const { return opts_; }
   /// The stage pool, or null when the profile configures no stage threads
-  /// (verify_workers == 0 and exec_shards == 0, or stage_pipeline_off).
+  /// (verify_workers == 0 and exec_shards == 0).
   [[nodiscard]] StagePool* stage_pool() { return stages_.get(); }
 
  private:

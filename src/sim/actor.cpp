@@ -43,8 +43,7 @@ void Actor::enqueue(WireMessage msg) {
           });
       return;
     }
-    if (const std::uint32_t workers =
-            env_.profile().effective_verify_workers();
+    if (const std::uint32_t workers = env_.profile().verify_workers;
         workers > 0) {
       // Simulated verify pool. Engages only when this message has a nonzero
       // offloadable share (the wallclock profile zeroes every share, so the
@@ -152,16 +151,7 @@ void Actor::stamp_actor_spans(const WireMessage& m) const {
 
 void Actor::send(ProcessId to, Buffer payload) {
   if (crashed_) return;
-  const Profile& pr = env_.profile();
-  consume_cpu(pr.cpu_send);
-  if (pr.zero_copy_off && !payload.empty()) {
-    // Ablation: resurrect the pre-zero-copy behaviour — every recipient of
-    // a fan-out gets its own deep copy of the payload, and the memcpy is
-    // charged as CPU (it was free when N recipients shared one buffer).
-    payload = Buffer::copy_of(payload.view());
-    consume_cpu(static_cast<Time>((payload.size() + 1023) / 1024) *
-                pr.cpu_copy_per_kb);
-  }
+  consume_cpu(env_.profile().cpu_send);
   WireMessage msg;
   msg.from = id_;
   msg.to = to;

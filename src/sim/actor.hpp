@@ -67,7 +67,7 @@ class Actor {
   /// work). Samplers diff successive readings to get a busy fraction.
   [[nodiscard]] Time busy_time() const { return busy_total_; }
   /// MAC verifications this actor answered from the Authenticator memo
-  /// (always 0 under fast MACs or the mac_memo_off ablation).
+  /// (always 0 under fast MACs).
   [[nodiscard]] std::uint64_t mac_memo_hits() const {
     return auth_.verify_cache_hits();
   }

@@ -72,8 +72,8 @@ class ExecutionEnv {
 
   /// Stage pipeline backend (sim/stages.hpp), or nullptr when this backend
   /// runs every stage inline. Only the wall-clock runtime returns one (and
-  /// only when Profile::effective_verify_workers() > 0); the deterministic
-  /// simulator models the verify pool inside Actor instead.
+  /// only when Profile::verify_workers > 0); the deterministic simulator
+  /// models the verify pool inside Actor instead.
   [[nodiscard]] virtual StageBackend* stages() const { return nullptr; }
 
   /// Runs `fn` after `delay`, serialized with `owner`'s message handling.

@@ -71,6 +71,7 @@ struct Profile {
   /// target (x2, capped at batch_max) whenever the backlog fills a batch
   /// before the assembly window elapses, and shrinks it (/2, floored here)
   /// when a window expires underfull — BFT-SMaRt's maxBatchSize behaviour.
+  /// batch_min == batch_max freezes the target: fixed batching.
   std::uint32_t batch_min = 1;
   /// Consensus pipelining: maximum in-flight (proposed, undecided) instances
   /// per group. 1 reproduces the sequential one-instance-at-a-time protocol;
@@ -104,38 +105,6 @@ struct Profile {
   /// (application execution of independent keys + reply encoding); ordering,
   /// relay forwarding and a-delivery bookkeeping always stay serial.
   std::uint32_t exec_shards = 0;
-  /// Ablation: force both stage knobs to 0 regardless of their values.
-  bool stage_pipeline_off = false;
-
-  /// Stage knobs after the ablation switch.
-  [[nodiscard]] std::uint32_t effective_verify_workers() const {
-    return stage_pipeline_off ? 0 : verify_workers;
-  }
-  [[nodiscard]] std::uint32_t effective_exec_shards() const {
-    return stage_pipeline_off ? 0 : exec_shards;
-  }
-
-  // --- ablation switches (workload-engine step experiments) ---------------
-  // Each switch turns one optimization back off so a sweep can measure what
-  // that optimization buys, paper-style. Defaults keep every optimization
-  // on; the workload engine's spec files flip them per run.
-  /// Deep-copy every outgoing payload instead of ref-bumping the shared
-  /// Buffer (ablates the PR-3 encode-once fan-out). Each copied send pays
-  /// cpu_copy_per_kb of simulated CPU; the host-side effect shows in
-  /// Buffer::materializations().
-  bool zero_copy_off = false;
-  /// Disable the Authenticator's memoized HMAC verification (PR 3/4). Only
-  /// observable with real HMACs (fast_macs = false): kFast MACs are never
-  /// cached. The effect is host wall-clock + cache-hit counters; simulated
-  /// MAC cost is part of the fixed service constants either way.
-  bool mac_memo_off = false;
-  /// Freeze the adaptive batch-size target at batch_max (ablates the
-  /// BFT-SMaRt-style grow/shrink adaptation from PR 6; batching itself and
-  /// the assembly window stay on).
-  bool batch_adapt_off = false;
-  /// Simulated memcpy cost per KiB of payload, charged per send when
-  /// zero_copy_off forces a deep copy (~10 GB/s single-core memcpy).
-  Time cpu_copy_per_kb = 100 * kNanosecond;
 
   /// LAN preset (defaults above).
   [[nodiscard]] static Profile lan() { return Profile{}; }

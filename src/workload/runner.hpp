@@ -1,9 +1,9 @@
 // WorkloadRunner: executes a WorkloadSpec on the simulator harness and
-// returns structured results — one measured point for a fixed-rate spec, a
-// point per segment for a step schedule, and full SweepCurves (baseline +
-// one per ablation) for a sweep schedule. Also serializes outcomes to the
-// BENCH_sweep.json schema ("byzcast-sweep-v1") consumed by
-// tools/check_sweep.py and tools/plot_benches.py.
+// returns structured results, one SweepCurve per spec curve: a single
+// measured point for a fixed-rate spec, a point per segment for a step
+// schedule, and the full sweep with its knee for a sweep schedule. Also
+// serializes outcomes to the BENCH_*.json schema ("byzcast-sweep-v1")
+// consumed by tools/check_sweep.py and tools/plot_benches.py.
 #pragma once
 
 #include <string>
@@ -17,14 +17,12 @@ namespace byzcast::workload {
 
 struct WorkloadOutcome {
   WorkloadSpec spec;
-  /// Fixed mode: exactly one curve with one point (plus ablation flags
-  /// applied). Step mode: one curve whose points are the segments. Sweep
-  /// mode: baseline curve first, then one curve per spec ablation.
+  /// One per curves_of(spec), in spec order.
   std::vector<SweepCurve> curves;
 };
 
 /// Runs the spec to completion on the sim backend (every schedule point is
-/// its own deterministic run; seeds derive from spec.base.seed).
+/// its own deterministic run; seeds derive from each curve's seed).
 [[nodiscard]] WorkloadOutcome run_workload(const WorkloadSpec& spec);
 
 /// Serializes an outcome as the "byzcast-sweep-v1" document.

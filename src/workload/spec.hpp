@@ -1,9 +1,10 @@
 // Workload spec files: a JSON description of one experiment — population,
 // destination pattern and skew, payload, rate schedule (fixed / step /
-// sweep) and ablation switches — loadable by the sim/runtime harness
+// sweep) and the curves to run it for — loadable by the sim harness
 // (WorkloadRunner, bench_sweep) and by the real-TCP load generator
-// (byzcast-loadgen --workload). Specs live in configs/workloads/*.json; the
-// schema is documented in docs/ARCHITECTURE.md, "Workload engine".
+// (byzcast-loadgen --workload, which takes no curves). Specs live in
+// configs/workloads/*.json; the schema is documented in
+// docs/ARCHITECTURE.md, "Workload engine".
 #pragma once
 
 #include <optional>
@@ -12,6 +13,7 @@
 
 #include "common/json.hpp"
 #include "workload/experiment.hpp"
+#include "workload/sweep.hpp"
 
 namespace byzcast::workload {
 
@@ -35,6 +37,14 @@ struct RateSchedule {
   int bisect_iters = 3;
 };
 
+/// One configuration a spec runs: its `curves` entry applied over the base.
+struct CurveSpec {
+  std::string label;
+  ExperimentConfig config;
+  /// Bounds on this curve's metrics relative to the spec's first curve.
+  std::vector<RatioBound> expect;
+};
+
 struct WorkloadSpec {
   std::string name;
   /// Everything but the rate: protocol, environment, population, pattern,
@@ -42,20 +52,17 @@ struct WorkloadSpec {
   /// open_loop_total_rate is filled in per run.
   ExperimentConfig base;
   RateSchedule schedule;
-  /// Ablation names ("zero_copy_off", "mac_memo_off", "mac_memo_on",
-  /// "pipeline_off", "batch_adapt_off"). Sweep mode runs one extra curve
-  /// per entry next to the baseline; fixed/step mode applies them all to
-  /// the single configuration.
-  std::vector<std::string> ablations;
+  /// The spec's "curves", each resolved over `base`; empty when the spec
+  /// lists none (see curves_of).
+  std::vector<CurveSpec> curves;
 };
 
-/// Applies one named ablation to `config`; false if the name is unknown.
-/// "mac_memo_on" is the memo-ON companion of the MAC pair (real HMACs,
-/// memo enabled) — see ExperimentConfig::real_macs.
-bool apply_ablation(ExperimentConfig& config, const std::string& name);
+/// The curves a spec runs: its own, or `base` alone labelled "baseline".
+[[nodiscard]] std::vector<CurveSpec> curves_of(const WorkloadSpec& spec);
 
 /// Parses a spec document. Returns nullopt and fills `error` on unknown
-/// enum strings, bad types or missing required fields ("name").
+/// keys or enum strings, bad types, out-of-range numbers or missing
+/// required fields ("name", each curve's "label").
 [[nodiscard]] std::optional<WorkloadSpec> parse_workload_spec(
     const Json& doc, std::string* error);
 

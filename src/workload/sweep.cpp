@@ -1,12 +1,44 @@
 #include "workload/sweep.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <optional>
 
 #include "common/contracts.hpp"
+#include "core/critical_path.hpp"
 
 namespace byzcast::workload {
 
 namespace {
+
+ClassBreakdown breakdown_of(const core::ClassAggregate& agg) {
+  ClassBreakdown b;
+  b.n = agg.n;
+  b.end_to_end_p50_ms = to_ms(agg.end_to_end.p50);
+  b.queueing_p50_ms = to_ms(agg.queueing.p50);
+  b.cpu_p50_ms = to_ms(agg.cpu.p50);
+  b.network_p50_ms = to_ms(agg.network.p50);
+  b.quorum_wait_p50_ms = to_ms(agg.quorum_wait.p50);
+  return b;
+}
+
+/// Splits "<class>.<component>_p50" into its class breakdown and member;
+/// false when `metric` is not of that form.
+bool breakdown_metric(const std::string& metric, bool* global,
+                      double ClassBreakdown::** member) {
+  const std::size_t dot = metric.find('.');
+  if (dot == std::string::npos) return false;
+  const std::string cls = metric.substr(0, dot);
+  if (cls != "local" && cls != "global") return false;
+  for (const auto& [name, field] : kBreakdownComponents) {
+    if (metric.substr(dot + 1) == std::string(name) + "_p50") {
+      *global = cls == "global";
+      *member = field;
+      return true;
+    }
+  }
+  return false;
+}
 
 std::uint64_t sum_monitor_violations(const ExperimentResult& result) {
   if (!result.metrics) return 0;
@@ -15,6 +47,24 @@ std::uint64_t sum_monitor_violations(const ExperimentResult& result) {
     if (name.rfind("monitor.violations.", 0) == 0) total += counter.value();
   }
   return total;
+}
+
+/// The metric's value on `curve`; nullopt when the curve does not define it.
+std::optional<double> curve_metric(const SweepCurve& curve,
+                                   const std::string& metric) {
+  if (metric == "knee") {
+    if (!curve.knee_found) return std::nullopt;
+    return curve.knee.offered;
+  }
+  if (curve.points.empty()) return std::nullopt;
+  const SweepPoint& pt = curve.points.front();
+  if (metric == "throughput") return pt.throughput;
+  bool global = false;
+  double ClassBreakdown::*member = nullptr;
+  if (!breakdown_metric(metric, &global, &member)) return std::nullopt;
+  const ClassBreakdown& b = global ? pt.global : pt.local;
+  if (!pt.traced || b.n == 0) return std::nullopt;
+  return b.*member;
 }
 
 }  // namespace
@@ -57,6 +107,13 @@ SweepPoint measure_point(const ExperimentConfig& base, double rate) {
   pt.sample_overflow = result.latency_all.overflow() +
                        result.latency_local.overflow() +
                        result.latency_global.overflow();
+  if (result.spans) {
+    const core::CriticalPathAnalyzer analyzer(
+        *result.spans, core::CriticalPathAnalyzer::Options{config.f});
+    pt.traced = true;
+    pt.local = breakdown_of(analyzer.aggregate(/*global=*/false));
+    pt.global = breakdown_of(analyzer.aggregate(/*global=*/true));
+  }
   return pt;
 }
 
@@ -120,6 +177,41 @@ SweepCurve run_sweep(const ExperimentConfig& base,
   curve.knee = knee;
   curve.max_unsaturated_rate = lo;
   return curve;
+}
+
+bool is_bound_metric(const std::string& metric) {
+  bool global = false;
+  double ClassBreakdown::*member = nullptr;
+  return metric == "knee" || metric == "throughput" ||
+         breakdown_metric(metric, &global, &member);
+}
+
+std::vector<BoundCheck> check_bounds(const SweepCurve& curve,
+                                     const SweepCurve& reference,
+                                     const std::vector<RatioBound>& bounds) {
+  std::vector<BoundCheck> checks;
+  for (const RatioBound& bound : bounds) {
+    const std::optional<double> value = curve_metric(curve, bound.metric);
+    const std::optional<double> ref = curve_metric(reference, bound.metric);
+    char text[256];
+    BoundCheck check;
+    if (!value || !ref || *ref == 0.0) {
+      std::snprintf(text, sizeof text, "%s: %s undefined on %s",
+                    curve.label.c_str(), bound.metric.c_str(),
+                    !value ? curve.label.c_str() : reference.label.c_str());
+    } else {
+      const double ratio = *value / *ref;
+      check.ok = ratio >= bound.min && ratio <= bound.max;
+      std::snprintf(text, sizeof text,
+                    "%s: %s %g / %s %g = %.3f, bound [%g, %g]",
+                    curve.label.c_str(), bound.metric.c_str(), *value,
+                    reference.label.c_str(), *ref, ratio, bound.min,
+                    bound.max);
+    }
+    check.text = text;
+    checks.push_back(std::move(check));
+  }
+  return checks;
 }
 
 }  // namespace byzcast::workload

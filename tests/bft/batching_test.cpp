@@ -106,13 +106,12 @@ TEST(Batching, AdaptiveTargetShrinksUnderLightLoad) {
 }
 
 TEST(Batching, BatchAdaptOffFreezesTargetAtMax) {
-  // The batch_adapt_off ablation (workload engine, per-optimization
-  // sweeps): the same underfull trickle must leave the target pinned at
-  // batch_max — fixed batching, every cut waits out the full window.
+  // Fixed batching is batch_min == batch_max: the same underfull trickle
+  // must leave the target pinned at batch_max, so every cut waits out the
+  // full window.
   sim::Profile profile = sim::Profile::lan();
   profile.batch_max = 32;
-  profile.batch_min = 1;
-  profile.batch_adapt_off = true;
+  profile.batch_min = 32;
   std::map<int, ExecutionTrace> traces;
   sim::Simulation sim(84, profile);
   Group group(sim, GroupId{0}, 1, recording_factory(traces));

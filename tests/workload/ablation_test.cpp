@@ -1,57 +1,15 @@
-// The per-optimization ablation switches must actually reach the layer they
-// claim to disable: zero_copy_off deep-copies every send, mac_memo_off
-// silences the verification memo (and its counter), pipeline_off caps the
-// WAN pipeline at depth 1 and costs real throughput. Each test observes the
-// mechanism, not just the flag.
+// Optimizations measured by turning a knob back: the MAC verification memo
+// answers byte-identical repeats through the simulator's actors, and
+// pipeline_depth 1 (the sequential protocol) costs real WAN throughput.
+// Each test observes the mechanism, not just the knob.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-
-#include "common/buffer.hpp"
 #include "sim/actor.hpp"
 #include "sim/simulation.hpp"
 #include "workload/experiment.hpp"
 
 namespace byzcast::workload {
 namespace {
-
-ExperimentConfig small_lan() {
-  ExperimentConfig cfg;
-  cfg.num_groups = 2;
-  cfg.clients_per_group = 10;
-  cfg.workload.pattern = Pattern::kMixed;
-  cfg.warmup = 300 * kMillisecond;
-  cfg.duration = 1 * kSecond;
-  cfg.seed = 5;
-  return cfg;
-}
-
-std::uint64_t sum_counters_with_prefix(const ExperimentResult& res,
-                                       const std::string& prefix) {
-  std::uint64_t total = 0;
-  for (const auto& [name, counter] : res.metrics->counters()) {
-    if (name.rfind(prefix, 0) == 0) total += counter.value();
-  }
-  return total;
-}
-
-TEST(Ablation, ZeroCopyOffMaterializesEverySend) {
-  auto cfg = small_lan();
-  const std::uint64_t before_on = Buffer::materializations();
-  (void)run_experiment(cfg);
-  const std::uint64_t with_zero_copy = Buffer::materializations() - before_on;
-
-  cfg.zero_copy_off = true;
-  const std::uint64_t before_off = Buffer::materializations();
-  (void)run_experiment(cfg);
-  const std::uint64_t without = Buffer::materializations() - before_off;
-
-  // With the fan-out optimization a message materializes once and is
-  // ref-counted through its sends; with it off, every send deep-copies.
-  // (Replies and other point-to-point traffic materialize either way, so
-  // the delta is well short of the raw fan-out factor.)
-  EXPECT_GT(without, with_zero_copy + with_zero_copy / 2);
-}
 
 // Duplicate-verification fixture for the MAC memo: the memo only pays off
 // when a receiver sees the same (sender, payload) pair more than once
@@ -85,40 +43,16 @@ class DupSender final : public sim::Actor {
 };
 
 TEST(Ablation, MacMemoOffForcesFullReverification) {
-  // Memo on (default profile, real HMACs): the second and third identical
-  // copies are answered from the cache.
-  {
-    sim::Simulation sim(11, sim::Profile::lan());
-    DupReceiver rx(sim, "rx");
-    DupSender tx(sim, "tx");
-    tx.fire(rx.id(), 3);
-    sim.run_until(1 * kSecond);
-    EXPECT_EQ(rx.verified, 3);
-    EXPECT_EQ(rx.mac_memo_hits(), 2u);
-  }
-  // mac_memo_off: same traffic, every copy pays the full HMAC again.
-  {
-    sim::Profile profile = sim::Profile::lan();
-    profile.mac_memo_off = true;
-    sim::Simulation sim(11, profile);
-    DupReceiver rx(sim, "rx");
-    DupSender tx(sim, "tx");
-    tx.fire(rx.id(), 3);
-    sim.run_until(1 * kSecond);
-    EXPECT_EQ(rx.verified, 3);
-    EXPECT_EQ(rx.mac_memo_hits(), 0u);
-  }
-}
-
-TEST(Ablation, MacMemoOffStillCompletesTraffic) {
-  // End-to-end plumbing: the config flag reaches the run (exported hit
-  // counters all zero) and only degrades, never breaks, the protocol.
-  auto cfg = small_lan();
-  cfg.mac_memo_off = true;
-  const auto res = run_experiment(cfg);
-  ASSERT_NE(res.metrics, nullptr);
-  EXPECT_EQ(sum_counters_with_prefix(res, "replica.mac_memo_hits."), 0u);
-  EXPECT_GT(res.completed, 100u);
+  // The memo has no off switch; this keeps its on half: under the default
+  // profile (real HMACs) the second and third identical copies are
+  // answered from the cache.
+  sim::Simulation sim(11, sim::Profile::lan());
+  DupReceiver rx(sim, "rx");
+  DupSender tx(sim, "tx");
+  tx.fire(rx.id(), 3);
+  sim.run_until(1 * kSecond);
+  EXPECT_EQ(rx.verified, 3);
+  EXPECT_EQ(rx.mac_memo_hits(), 2u);
 }
 
 TEST(Ablation, PipelineOffCostsWanThroughput) {
@@ -136,7 +70,7 @@ TEST(Ablation, PipelineOffCostsWanThroughput) {
   cfg.seed = 5;
   const auto base = run_experiment(cfg);
 
-  cfg.pipeline_off = true;
+  cfg.pipeline_depth = 1;  // the sequential protocol
   const auto off = run_experiment(cfg);
 
   EXPECT_GT(base.throughput, 3'500.0);

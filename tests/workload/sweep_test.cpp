@@ -1,12 +1,16 @@
-// Saturation-knee classification (pure, on synthetic curves) and a small
-// end-to-end sweep in the simulator: healthy rates stay unsaturated, the
-// measured points carry the full record, and a goodput collapse is detected
-// as a knee.
+// Saturation-knee classification and `expect` ratio bounds (pure, on
+// synthetic curves), a small end-to-end sweep in the simulator (healthy
+// rates stay unsaturated, the measured points carry the full record) and the
+// runner's one-run-per-curve schedules.
 #include "workload/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
+
+#include "workload/runner.hpp"
 
 namespace byzcast::workload {
 namespace {
@@ -106,6 +110,142 @@ TEST(Sweep, HealthyGridReportsNoKneeAndFullCurve) {
   EXPECT_FALSE(curve.knee_found);
   EXPECT_DOUBLE_EQ(curve.max_unsaturated_rate, 400.0);
   EXPECT_LT(curve.points[0].offered, curve.points[1].offered);
+}
+
+/// A curve whose knee, throughput and global queueing p50 are given.
+SweepCurve bounded_curve(const std::string& label, double knee,
+                         double throughput, double queueing_ms) {
+  SweepCurve c;
+  c.label = label;
+  c.knee_found = true;
+  c.knee = point(knee, 10, 1.0);
+  SweepPoint pt = point(throughput, 10, 1.0);
+  pt.traced = true;
+  pt.global.n = 5;
+  pt.global.queueing_p50_ms = queueing_ms;
+  c.points = {pt};
+  return c;
+}
+
+bool holds(const SweepCurve& curve, const SweepCurve& reference,
+           const RatioBound& bound) {
+  const std::vector<BoundCheck> checks =
+      check_bounds(curve, reference, {bound});
+  EXPECT_EQ(checks.size(), 1u);
+  return !checks.empty() && checks.front().ok;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(SweepBounds, EachBoundHoldsOnOneSideOfItsThresholdOnly) {
+  // Ratios to the reference: knee 1.25, throughput 1.2, queueing 0.5.
+  const SweepCurve ref = bounded_curve("ref", 1000, 1000, 10.0);
+  const SweepCurve cur = bounded_curve("cur", 1250, 1200, 5.0);
+
+  EXPECT_TRUE(holds(cur, ref, {"knee", 1.25, kInf}));  // bounds inclusive
+  EXPECT_FALSE(holds(cur, ref, {"knee", 1.26, kInf}));
+  EXPECT_TRUE(holds(cur, ref, {"knee", 0.0, 1.25}));
+  EXPECT_FALSE(holds(cur, ref, {"knee", 0.0, 1.24}));
+
+  EXPECT_TRUE(holds(cur, ref, {"throughput", 1.2, kInf}));
+  EXPECT_FALSE(holds(cur, ref, {"throughput", 1.21, kInf}));
+  EXPECT_TRUE(holds(cur, ref, {"throughput", 0.0, 1.2}));
+  EXPECT_FALSE(holds(cur, ref, {"throughput", 0.0, 1.19}));
+
+  EXPECT_TRUE(holds(cur, ref, {"global.queueing_p50", 0.0, 0.5}));
+  EXPECT_FALSE(holds(cur, ref, {"global.queueing_p50", 0.0, 0.49}));
+  EXPECT_TRUE(holds(cur, ref, {"global.queueing_p50", 0.5, kInf}));
+  EXPECT_FALSE(holds(cur, ref, {"global.queueing_p50", 0.51, kInf}));
+
+  // The direction matters: the same bounds read against the swapped pair.
+  EXPECT_FALSE(holds(ref, cur, {"knee", 1.25, kInf}));
+  EXPECT_TRUE(holds(ref, cur, {"global.queueing_p50", 2.0, 2.0}));
+}
+
+TEST(SweepBounds, MissingMetricFailsEvenAnOpenBound) {
+  const SweepCurve ref = bounded_curve("ref", 1000, 1000, 10.0);
+  const RatioBound any_queueing{"global.queueing_p50", 0.0, kInf};
+
+  // A breakdown bound fails when either side traced no message of the class.
+  SweepCurve untraced_class = bounded_curve("cur", 1000, 1000, 5.0);
+  untraced_class.points[0].global.n = 0;
+  EXPECT_FALSE(holds(untraced_class, ref, any_queueing));
+  EXPECT_FALSE(holds(ref, untraced_class, any_queueing));
+  EXPECT_FALSE(holds(ref, ref, {"local.queueing_p50", 0.0, kInf}));  // n = 0
+
+  SweepCurve untraced = bounded_curve("cur", 1000, 1000, 5.0);
+  untraced.points[0].traced = false;
+  EXPECT_FALSE(holds(untraced, ref, any_queueing));
+
+  // A knee bound fails without a knee on either side.
+  SweepCurve kneeless = bounded_curve("cur", 1000, 1000, 5.0);
+  kneeless.knee_found = false;
+  EXPECT_FALSE(holds(kneeless, ref, {"knee", 0.0, kInf}));
+  EXPECT_FALSE(holds(ref, kneeless, {"knee", 0.0, kInf}));
+
+  // A zero reference value has no ratio.
+  const SweepCurve idle = bounded_curve("idle", 1000, 0, 0.0);
+  EXPECT_FALSE(holds(ref, idle, {"throughput", 0.0, kInf}));
+}
+
+TEST(SweepBounds, MetricNames) {
+  for (const char* name :
+       {"knee", "throughput", "local.cpu_p50", "global.queueing_p50",
+        "global.end_to_end_p50", "local.network_p50",
+        "global.quorum_wait_p50"}) {
+    EXPECT_TRUE(is_bound_metric(name)) << name;
+  }
+  for (const char* name : {"", "knees", "cpu_p50", "remote.cpu_p50",
+                           "local.cpu", "local.cpu_p99", "local."}) {
+    EXPECT_FALSE(is_bound_metric(name)) << name;
+  }
+}
+
+TEST(WorkloadRunner, FixedAndStepRunTheScheduleOncePerCurve) {
+  WorkloadSpec spec;
+  spec.name = "runner";
+  spec.base.num_groups = 1;
+  spec.base.clients_per_group = 10;
+  spec.base.warmup = 300 * kMillisecond;
+  spec.base.duration = 1 * kSecond;
+  spec.base.seed = 7;
+  spec.base.span_tracing = true;
+  ExperimentConfig staged = spec.base;
+  staged.verify_workers = 2;
+  spec.curves = {CurveSpec{"serial", spec.base, {}},
+                 CurveSpec{"staged", staged, {}}};
+  spec.schedule.fixed_rate = 400.0;
+
+  const WorkloadOutcome fixed = run_workload(spec);
+  ASSERT_EQ(fixed.curves.size(), 2u);
+  EXPECT_EQ(fixed.curves[0].label, "serial");
+  EXPECT_EQ(fixed.curves[1].label, "staged");
+  for (const SweepCurve& curve : fixed.curves) {
+    ASSERT_EQ(curve.points.size(), 1u);
+    const SweepPoint& pt = curve.points.front();
+    EXPECT_GT(pt.completed, 0u);
+    // Traced runs carry the breakdown; local-only traffic has no global
+    // class.
+    EXPECT_TRUE(pt.traced);
+    EXPECT_GT(pt.local.n, 0u);
+    EXPECT_GT(pt.local.end_to_end_p50_ms, 0.0);
+    EXPECT_EQ(pt.global.n, 0u);
+    EXPECT_FALSE(curve.knee_found);
+  }
+  EXPECT_TRUE(
+      check_bounds(fixed.curves[1], fixed.curves[0],
+                   {{"local.end_to_end_p50", 0.0, kInf}})
+          .front()
+          .ok);
+
+  spec.schedule.kind = RateSchedule::Kind::kStep;
+  spec.schedule.rates = {200.0, 400.0};
+  const WorkloadOutcome step = run_workload(spec);
+  ASSERT_EQ(step.curves.size(), 2u);
+  for (const SweepCurve& curve : step.curves) {
+    ASSERT_EQ(curve.points.size(), 2u);
+    EXPECT_DOUBLE_EQ(curve.points[1].offered, 400.0);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_sweep.json artifact (schema "byzcast-sweep-v1").
+"""Validate a bench_sweep artifact (schema "byzcast-sweep-v1").
 
 Usage:
-    check_sweep.py BENCH_SWEEP_JSON [--require-knee] [--require-ablation NAME]
+    check_sweep.py BENCH_JSON [--require-knee] [--require-curve LABEL]...
 
 The file is written by bench_sweep / workload::outcome_to_json. Checks:
 
@@ -13,12 +13,14 @@ The file is written by bench_sweep / workload::outcome_to_json. Checks:
     p50_ms, p99_ms, completed, monitor_violations, sample_overflow,
     saturated);
   * no point tripped invariant monitors or overflowed its sample capacity;
+  * a point's latency breakdown, when present (span-traced runs), carries
+    per class (local, global) a count n and the p50 of every component;
   * goodput never exceeds offered by more than rounding (ratio <= 1.05);
   * saturation classification is consistent: once the sweep grid saturates,
     the knee (when found) coincides with a saturated measured point and lies
     strictly above the curve's max_unsaturated_rate;
   * with --require-knee, every curve must have found a knee;
-  * with --require-ablation NAME, a curve labeled NAME must be present.
+  * with --require-curve LABEL, a curve labeled LABEL must be present.
 
 Exits nonzero with a message on each failure, so CI can gate on it.
 """
@@ -39,6 +41,12 @@ POINT_NUM_FIELDS = (
     "sample_overflow",
 )
 
+BREAKDOWN_FIELDS = tuple(
+    f"{c}_p50_ms" for c in ("end_to_end", "queueing", "cpu", "network", "quorum_wait")
+)
+
+USAGE = "usage: check_sweep.py BENCH_JSON [--require-knee] [--require-curve LABEL]..."
+
 
 def fail(msg):
     global FAILURES
@@ -52,14 +60,29 @@ def require(cond, msg):
     return cond
 
 
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_breakdown(bd, where):
+    if not require(isinstance(bd, dict), f"{where}: not an object"):
+        return
+    for cls in ("local", "global"):
+        agg = bd.get(cls)
+        if not require(isinstance(agg, dict), f"{where}.{cls}: missing"):
+            continue
+        n = agg.get("n")
+        require(is_number(n) and n >= 0 and n == int(n), f"{where}.{cls}.n: missing or not a count")
+        for key in BREAKDOWN_FIELDS:
+            v = agg.get(key)
+            require(is_number(v) and v >= 0, f"{where}.{cls}.{key}: missing or negative")
+
+
 def check_point(pt, where):
     if not require(isinstance(pt, dict), f"{where}: not an object"):
         return None
     for key in POINT_NUM_FIELDS:
-        if not require(
-            isinstance(pt.get(key), (int, float)) and not isinstance(pt.get(key), bool),
-            f"{where}.{key}: missing or not a number",
-        ):
+        if not require(is_number(pt.get(key)), f"{where}.{key}: missing or not a number"):
             return None
     require(isinstance(pt.get("saturated"), bool), f"{where}.saturated: missing or not a bool")
     require(pt["offered"] > 0, f"{where}: offered rate must be positive")
@@ -68,6 +91,8 @@ def check_point(pt, where):
     require(pt["sample_overflow"] == 0, f"{where}: {pt['sample_overflow']} samples overflowed capacity")
     require(pt["goodput_ratio"] <= 1.05, f"{where}: goodput {pt['goodput_ratio']:.3f} exceeds offered")
     require(pt["p50_ms"] <= pt["p99_ms"] + 1e-9, f"{where}: p50 > p99")
+    if "breakdown" in pt:
+        check_breakdown(pt["breakdown"], f"{where}.breakdown")
     return pt
 
 
@@ -109,16 +134,16 @@ def main():
     require_knee = "--require-knee" in args
     if require_knee:
         args.remove("--require-knee")
-    required_ablations = []
-    while "--require-ablation" in args:
-        i = args.index("--require-ablation")
+    required_curves = []
+    while "--require-curve" in args:
+        i = args.index("--require-curve")
         if i + 1 >= len(args):
-            print("usage: check_sweep.py BENCH_SWEEP_JSON [--require-knee] [--require-ablation NAME]")
+            print(USAGE)
             return 2
-        required_ablations.append(args[i + 1])
+        required_curves.append(args[i + 1])
         del args[i : i + 2]
     if len(args) != 1:
-        print("usage: check_sweep.py BENCH_SWEEP_JSON [--require-knee] [--require-ablation NAME]")
+        print(USAGE)
         return 2
 
     try:
@@ -140,8 +165,8 @@ def main():
                 if require_knee:
                     require(curve.get("knee_found") is True,
                             f"curves[{i}] ({curve['label']}): no knee found")
-        for name in required_ablations:
-            require(name in labels, f"required ablation curve missing: {name}")
+        for label in required_curves:
+            require(label in labels, f"required curve missing: {label}")
 
     if FAILURES == 0:
         print(f"OK: {args[0]} ({len(curves) if isinstance(curves, list) else 0} curves)")

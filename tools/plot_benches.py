@@ -55,8 +55,8 @@ def summarize_sidecar(name, doc):
 
 
 def find_bench_json(src, name):
-    """Locates a BENCH_*.json (written by bench_runtime_throughput) next to
-    the CSV dir or in the working directory."""
+    """Locates a BENCH_*.json next to the CSV dir or in the working
+    directory."""
     for candidate in (os.path.join(src, name), name):
         if os.path.isfile(candidate):
             try:
@@ -207,122 +207,28 @@ def summarize_trace_bench(doc):
     print(f"  knob: {doc.get('knob', '?')}")
 
 
-def summarize_pipeline_bench(doc):
-    """BENCH_pipeline.json: consensus-pipelining depth x batch-timeout sweep
-    against the sequential depth-1 ablation (sim WAN, open loop)."""
-    rate = doc.get("open_loop_rate_msgs_s", 0)
-    print(f"\nBENCH_pipeline.json (pipelining sweep, sim WAN, "
-          f"offered {rate:.0f} msg/s):")
-    for c in doc.get("configs", []):
-        queue = c.get("global", {}).get("queueing_p50_ns", 0) / 1e6
-        bad = c.get("monitor_violations", 0)
-        verdict = "" if bad == 0 else f", {bad} MONITOR VIOLATIONS"
-        print(f"  depth {c.get('pipeline_depth')} window "
-              f"{c.get('batch_timeout_us') or 'preset':>6}: "
-              f"{c.get('throughput_msgs_s', 0):.0f} msg/s, "
-              f"p50 {c.get('latency_p50_ms', 0):.0f} ms, "
-              f"global queueing p50 {queue:.0f} ms{verdict}")
+def find_sweep_docs(src):
+    """Every bench_sweep artifact (BENCH_*.json with schema
+    "byzcast-sweep-v1") next to the CSV dir or in the working directory,
+    by file name; the CSV dir wins on a name clash."""
+    docs = {}
+    for folder in (src, "."):
+        if not os.path.isdir(folder):
+            continue
+        for name in sorted(os.listdir(folder)):
+            if name in docs or not (name.startswith("BENCH_")
+                                    and name.endswith(".json")):
+                continue
+            doc = find_bench_json(folder, name)
+            if isinstance(doc, dict) and doc.get("schema") == "byzcast-sweep-v1":
+                docs[name] = doc
+    return docs
 
 
-def plot_pipeline_bench(doc, dst, plt):
-    """Throughput vs pipeline depth (one line per assembly window), with the
-    global-class queueing p50 on a twin axis — the component the deeper
-    window is supposed to collapse."""
-    series = {}
-    for c in doc.get("configs", []):
-        key = c.get("batch_timeout_us") or "preset"
-        series.setdefault(key, []).append(
-            (c.get("pipeline_depth", 0), c.get("throughput_msgs_s", 0.0),
-             c.get("global", {}).get("queueing_p50_ns", 0) / 1e6))
-    if not series:
-        return
-    fig, ax = plt.subplots(figsize=(6, 4))
-    ax2 = ax.twinx()
-    for key in sorted(series, key=str):
-        points = sorted(series[key])
-        label = f"window {key}" + ("" if key == "preset" else "us")
-        ax.plot([p[0] for p in points], [p[1] for p in points], marker="o",
-                label=label)
-        ax2.plot([p[0] for p in points], [p[2] for p in points], marker="x",
-                 linestyle="--", alpha=0.6)
-    rate = doc.get("open_loop_rate_msgs_s")
-    if rate:
-        ax.axhline(rate, color="gray", linewidth=0.8, linestyle=":")
-        ax.annotate("offered", (1, rate), fontsize=7, va="bottom")
-    ax.set_xscale("log", base=2)
-    ax.set_xlabel("pipeline depth (1 = sequential ablation)")
-    ax.set_ylabel("msg/s")
-    ax2.set_ylabel("global queueing p50 (ms, dashed)")
-    ax.set_title("consensus pipelining: WAN throughput vs depth")
-    ax.legend(fontsize=8, loc="lower right")
-    ax.grid(True, alpha=0.3)
-    out = os.path.join(dst, "pipeline_depth_sweep.png")
-    fig.tight_layout()
-    fig.savefig(out, dpi=120)
-    plt.close(fig)
-    print("wrote", out)
-
-
-def summarize_sweep_bench(doc):
-    """BENCH_sweep.json: latency-vs-offered-load curves with the detected
-    saturation knee per curve (baseline + per-optimization ablations)."""
-    print(f"\nBENCH_sweep.json (offered-load sweep '{doc.get('name', '?')}', "
-          f"{doc.get('protocol', '?')} {doc.get('environment', '?')}):")
-    for curve in doc.get("curves", []):
-        points = curve.get("points", [])
-        if curve.get("knee_found") and isinstance(curve.get("knee"), dict):
-            knee = curve["knee"]
-            verdict = (f"knee {knee.get('offered', 0):.0f} msg/s "
-                       f"(p50 {knee.get('p50_ms', 0):.1f} ms, "
-                       f"p99 {knee.get('p99_ms', 0):.1f} ms)")
-        else:
-            verdict = (f"no knee through "
-                       f"{curve.get('max_unsaturated_rate', 0):.0f} msg/s")
-        bad = sum(p.get("monitor_violations", 0) for p in points)
-        extra = "" if bad == 0 else f", {bad} MONITOR VIOLATIONS"
-        print(f"  {curve.get('label', '?'):<16} {len(points)} points, "
-              f"{verdict}{extra}")
-
-
-def plot_sweep_bench(doc, dst, plt):
-    """p99 latency vs offered load, one line per curve, each detected knee
-    annotated — the latency wall that defines sustainable throughput."""
-    curves = [c for c in doc.get("curves", []) if c.get("points")]
-    if not curves:
-        return
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for curve in curves:
-        points = sorted(curve["points"], key=lambda p: p.get("offered", 0))
-        xs = [p.get("offered", 0) for p in points]
-        ys = [p.get("p99_ms", 0) for p in points]
-        (line,) = ax.plot(xs, ys, marker="o", markersize=3,
-                          label=curve.get("label", "?"))
-        if curve.get("knee_found") and isinstance(curve.get("knee"), dict):
-            knee = curve["knee"]
-            kx, ky = knee.get("offered", 0), knee.get("p99_ms", 0)
-            ax.scatter([kx], [ky], marker="D", s=45, zorder=5,
-                       color=line.get_color(), edgecolors="black")
-            ax.annotate(f"knee {kx:.0f}/s", (kx, ky), fontsize=7,
-                        xytext=(4, 6), textcoords="offset points")
-    ax.set_yscale("log")
-    ax.set_xlabel("offered load (msg/s)")
-    ax.set_ylabel("p99 latency (ms, log)")
-    ax.set_title(f"offered-load sweep: {doc.get('name', '?')} "
-                 f"({doc.get('environment', '?')})")
-    ax.legend(fontsize=8)
-    ax.grid(True, alpha=0.3)
-    out = os.path.join(dst, "sweep_knee.png")
-    fig.tight_layout()
-    fig.savefig(out, dpi=120)
-    plt.close(fig)
-    print("wrote", out)
-
-
-def summarize_vertical_bench(doc):
-    """BENCH_vertical.json: one group's saturation knee vs stage-pipeline
-    width (serial = stage_pipeline_off ablation), plus the span-traced
-    cpu-component pair."""
-    print(f"\nBENCH_vertical.json (vertical scaling '{doc.get('name', '?')}', "
+def summarize_sweep_bench(name, doc):
+    """One bench_sweep artifact: per curve, its knee (sweep) or its single
+    measured point (fixed rate), plus the traced latency breakdown."""
+    print(f"\n{name} (workload '{doc.get('name', '?')}', "
           f"{doc.get('protocol', '?')} {doc.get('environment', '?')}, "
           f"{doc.get('num_groups', '?')} group(s)):")
     for curve in doc.get("curves", []):
@@ -330,74 +236,95 @@ def summarize_vertical_bench(doc):
         if curve.get("knee_found") and isinstance(curve.get("knee"), dict):
             knee = curve["knee"]
             verdict = (f"knee {knee.get('offered', 0):.0f} msg/s "
-                       f"(p99 {knee.get('p99_ms', 0):.1f} ms)")
+                       f"(p50 {knee.get('p50_ms', 0):.1f} ms, "
+                       f"p99 {knee.get('p99_ms', 0):.1f} ms)")
+        elif len(points) == 1:
+            pt = points[0]
+            verdict = (f"{pt.get('throughput', 0):.0f} msg/s at "
+                       f"{pt.get('offered', 0):.0f} offered "
+                       f"(p50 {pt.get('p50_ms', 0):.1f} ms, "
+                       f"p99 {pt.get('p99_ms', 0):.1f} ms)")
         else:
             verdict = (f"no knee through "
                        f"{curve.get('max_unsaturated_rate', 0):.0f} msg/s")
         bad = sum(p.get("monitor_violations", 0) for p in points)
         extra = "" if bad == 0 else f", {bad} MONITOR VIOLATIONS"
-        print(f"  {curve.get('label', '?'):<26} {len(points)} points, "
+        print(f"  {curve.get('label', '?'):<16} {len(points)} points, "
               f"{verdict}{extra}")
-    bd = doc.get("cpu_breakdown")
-    if isinstance(bd, dict):
-        s, t = bd.get("serial", {}), bd.get("staged", {})
-        print(f"  cpu p50 at {bd.get('rate', 0):.0f} msg/s: serial "
-              f"{s.get('cpu_p50_ms', 0):.3f} ms -> "
-              f"{bd.get('staged_label', 'staged')} "
-              f"{t.get('cpu_p50_ms', 0):.3f} ms")
+        for pt in points:
+            for cls, agg in sorted(pt.get("breakdown", {}).items()):
+                if not agg.get("n"):
+                    continue
+                comps = ", ".join(f"{c} {agg.get(c + '_p50_ms', 0):.3f}"
+                                  for c in COMPONENTS)
+                print(f"    {cls:<6} n={agg['n']} p50 ms: e2e "
+                      f"{agg.get('end_to_end_p50_ms', 0):.3f}, {comps}")
 
 
-def plot_vertical_bench(doc, dst, plt):
-    """Two panels: p99 vs offered load per stage width (knees annotated),
-    and the span-traced p50 component stack serial vs staged — the cpu
-    share the verify/exec stages are supposed to carve off the order
-    stage's critical path."""
+def plot_sweep_bench(name, doc, dst, plt):
+    """p99 latency vs offered load, one line per curve with its knee
+    annotated (sweeps), or throughput per curve (fixed-rate specs); plus the
+    stacked p50 component bars of every traced curve."""
     curves = [c for c in doc.get("curves", []) if c.get("points")]
     if not curves:
         return
-    bd = doc.get("cpu_breakdown") if isinstance(doc.get("cpu_breakdown"),
-                                                dict) else None
-    fig, axes = plt.subplots(1, 2 if bd else 1,
-                             figsize=(10 if bd else 6, 4))
-    ax = axes[0] if bd else axes
-    for curve in curves:
-        points = sorted(curve["points"], key=lambda p: p.get("offered", 0))
-        xs = [p.get("offered", 0) for p in points]
-        ys = [p.get("p99_ms", 0) for p in points]
-        (line,) = ax.plot(xs, ys, marker="o", markersize=3,
-                          label=curve.get("label", "?"))
-        if curve.get("knee_found") and isinstance(curve.get("knee"), dict):
-            knee = curve["knee"]
-            kx, ky = knee.get("offered", 0), knee.get("p99_ms", 0)
-            ax.scatter([kx], [ky], marker="D", s=45, zorder=5,
-                       color=line.get_color(), edgecolors="black")
-            ax.annotate(f"{kx:.0f}/s", (kx, ky), fontsize=7,
-                        xytext=(4, 6), textcoords="offset points")
-    ax.set_yscale("log")
-    ax.set_xlabel("offered load (msg/s)")
-    ax.set_ylabel("p99 latency (ms, log)")
-    ax.set_title("vertical scaling: knee vs stage width")
-    ax.legend(fontsize=8)
+    stem = name.replace(".json", "")
+    fig, ax = plt.subplots(figsize=(6, 4))
+    if any(len(c["points"]) > 1 for c in curves):
+        for curve in curves:
+            points = sorted(curve["points"], key=lambda p: p.get("offered", 0))
+            xs = [p.get("offered", 0) for p in points]
+            ys = [p.get("p99_ms", 0) for p in points]
+            (line,) = ax.plot(xs, ys, marker="o", markersize=3,
+                              label=curve.get("label", "?"))
+            if curve.get("knee_found") and isinstance(curve.get("knee"), dict):
+                knee = curve["knee"]
+                kx, ky = knee.get("offered", 0), knee.get("p99_ms", 0)
+                ax.scatter([kx], [ky], marker="D", s=45, zorder=5,
+                           color=line.get_color(), edgecolors="black")
+                ax.annotate(f"knee {kx:.0f}/s", (kx, ky), fontsize=7,
+                            xytext=(4, 6), textcoords="offset points")
+        ax.set_yscale("log")
+        ax.set_xlabel("offered load (msg/s)")
+        ax.set_ylabel("p99 latency (ms, log)")
+        ax.legend(fontsize=8)
+    else:
+        xs = list(range(len(curves)))
+        ax.bar(xs, [c["points"][0].get("throughput", 0) for c in curves], 0.6)
+        ax.axhline(curves[0]["points"][0].get("offered", 0), color="gray",
+                   linewidth=0.8, linestyle=":")
+        ax.set_xticks(xs)
+        ax.set_xticklabels([c.get("label", "?") for c in curves],
+                           rotation=30, fontsize=7)
+        ax.set_ylabel("msg/s (dotted: offered)")
+    ax.set_title(f"{doc.get('name', '?')} ({doc.get('environment', '?')})")
     ax.grid(True, alpha=0.3)
+    out = os.path.join(dst, f"{stem}.png")
+    fig.tight_layout()
+    fig.savefig(out, dpi=120)
+    plt.close(fig)
+    print("wrote", out)
 
-    if bd:
-        ax2 = axes[1]
-        cols = [("serial", bd.get("serial", {})),
-                (bd.get("staged_label", "staged"), bd.get("staged", {}))]
-        xs = list(range(len(cols)))
-        bottoms = [0.0] * len(cols)
-        for comp, color in zip(COMPONENTS, COMPONENT_COLORS):
-            heights = [c.get(f"{comp}_p50_ms", 0) for _, c in cols]
-            ax2.bar(xs, heights, 0.55, bottom=bottoms, label=comp,
-                    color=color)
-            bottoms = [b + h for b, h in zip(bottoms, heights)]
-        ax2.set_xticks(xs)
-        ax2.set_xticklabels([name for name, _ in cols])
-        ax2.set_ylabel("critical-path p50 (ms)")
-        ax2.set_title(f"components at {bd.get('rate', 0):.0f} msg/s")
-        ax2.legend(fontsize=8)
-        ax2.grid(True, axis="y", alpha=0.3)
-    out = os.path.join(dst, "vertical_scaling.png")
+    bars = [(f"{c.get('label', '?')}\n{cls}", agg)
+            for c in curves
+            for cls, agg in sorted(c["points"][0].get("breakdown", {}).items())
+            if agg.get("n")]
+    if not bars:
+        return
+    fig, ax = plt.subplots(figsize=(1.5 + 0.9 * len(bars), 4))
+    xs = list(range(len(bars)))
+    bottoms = [0.0] * len(bars)
+    for comp, color in zip(COMPONENTS, COMPONENT_COLORS):
+        heights = [agg.get(f"{comp}_p50_ms", 0) for _, agg in bars]
+        ax.bar(xs, heights, 0.55, bottom=bottoms, label=comp, color=color)
+        bottoms = [b + h for b, h in zip(bottoms, heights)]
+    ax.set_xticks(xs)
+    ax.set_xticklabels([label for label, _ in bars], fontsize=7)
+    ax.set_ylabel("critical-path p50 (ms)")
+    ax.set_title(f"{doc.get('name', '?')}: latency breakdown")
+    ax.legend(fontsize=8)
+    ax.grid(True, axis="y", alpha=0.3)
+    out = os.path.join(dst, f"{stem}_breakdown.png")
     fig.tight_layout()
     fig.savefig(out, dpi=120)
     plt.close(fig)
@@ -594,23 +521,15 @@ def main():
     trace_bench = find_bench_json(src, "BENCH_trace.json")
     if trace_bench:
         summarize_trace_bench(trace_bench)
-    pipeline_bench = find_bench_json(src, "BENCH_pipeline.json")
-    if pipeline_bench:
-        summarize_pipeline_bench(pipeline_bench)
-    sweep_bench = find_bench_json(src, "BENCH_sweep.json")
-    if sweep_bench:
-        summarize_sweep_bench(sweep_bench)
-    vertical_bench = find_bench_json(src, "BENCH_vertical.json")
-    if vertical_bench:
-        summarize_vertical_bench(vertical_bench)
+    sweep_docs = find_sweep_docs(src)
+    for name, doc in sweep_docs.items():
+        summarize_sweep_bench(name, doc)
 
     by_name = {
         "BENCH_runtime.json": runtime_bench,
         "BENCH_wire.json": wire_bench,
         "BENCH_trace.json": trace_bench,
-        "BENCH_pipeline.json": pipeline_bench,
-        "BENCH_sweep.json": sweep_bench,
-        "BENCH_vertical.json": vertical_bench,
+        **sweep_docs,
     }
     # --require also accepts span sidecars (e.g. cluster_spans.json from
     # byzcast-ctl merge) and *_metrics.json sidecars by filename.
@@ -681,12 +600,8 @@ def main():
         plot_runtime_bench(runtime_bench, src, dst, plt)
     if wire_bench:
         plot_wire_bench(wire_bench, dst, plt)
-    if pipeline_bench:
-        plot_pipeline_bench(pipeline_bench, dst, plt)
-    if sweep_bench:
-        plot_sweep_bench(sweep_bench, dst, plt)
-    if vertical_bench:
-        plot_vertical_bench(vertical_bench, dst, plt)
+    for name, doc in sweep_docs.items():
+        plot_sweep_bench(name, doc, dst, plt)
     return 0
 
 
