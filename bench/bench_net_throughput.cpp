@@ -255,6 +255,9 @@ BackendResult run_net(const net::ClusterConfig& cfg,
   r.latency_mean_ms = latency.mean_ms();
   r.latency_p95_ms = latency.percentile_ms(95);
   r.deliveries = cluster.total_deliveries();
+  // Transport::stats() walks connection tables the loop thread mutates, so
+  // read it only once stop() has joined every loop (connections stay).
+  cluster.stop();
   for (int g = 0; g < 3; ++g) {
     for (int i = 0; i < 4; ++i) {
       const auto& ts =
@@ -264,7 +267,6 @@ BackendResult run_net(const net::ClusterConfig& cfg,
       r.reconnects += ts.reconnects;
     }
   }
-  cluster.stop();
 
   std::vector<core::SentMessage> sent_msgs;
   for (std::size_t c = 0; c < clients.size(); ++c) {

@@ -18,14 +18,8 @@ RuntimeEnv::RuntimeEnv(RuntimeOptions opts)
   const std::uint32_t vw = opts_.profile.verify_workers;
   const std::uint32_t es = opts_.profile.exec_shards;
   if (vw > 0 || es > 0) {
-    stages_ = std::make_unique<StagePool>(
-        vw, es, opts_.mailbox_capacity,
-        [this](ProcessId owner, std::function<void()> fn) {
-          // Verify completions re-enter the owner's executor lane; an owner
-          // detached mid-flight counts as a drop (same as the network).
-          const std::size_t worker = network_.worker_of(owner);
-          if (worker != Executor::npos) executor_.post(worker, std::move(fn));
-        });
+    stages_ =
+        std::make_unique<StagePool>(vw, es, opts_.mailbox_capacity, network_);
   }
 }
 

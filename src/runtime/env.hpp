@@ -8,11 +8,12 @@
 // Lifecycle: construct → wire systems/actors → start() → drive load from the
 // edge with run_on() → wait for quiescence (poll the DeliveryLog) → stop()
 // → destroy actors. stop() halts the wheel first (no new timer fires), then
-// the stage pool (verify/exec workers drain, completions posted into still-
-// live executor lanes), then the executor (mailboxes close, workers drain
-// and join), so by the time actors die no thread can touch them. Determinism is NOT preserved on this
-// backend — runs are real concurrent executions; the property checkers, not
-// golden traces, are the correctness oracle.
+// the stage pool (verify/exec workers drain, verified messages posted into
+// still-live executor lanes), then the executor (mailboxes close, workers
+// drain and join), so by the time actors die no thread can touch them.
+// Determinism is NOT preserved on this backend — runs are real concurrent
+// executions; the property checkers, not golden traces, are the correctness
+// oracle.
 #pragma once
 
 #include <atomic>
@@ -56,8 +57,8 @@ class RuntimeEnv final : public sim::ExecutionEnv {
   ~RuntimeEnv() override;
 
   void start();
-  /// Idempotent. Wheel first, then executor: after stop() no thread runs
-  /// actor code, so actors can be destroyed safely.
+  /// Idempotent. Wheel, then stage pool, then executor: after stop() no
+  /// thread runs actor code, so actors can be destroyed safely.
   void stop();
 
   // --- ExecutionEnv --------------------------------------------------------

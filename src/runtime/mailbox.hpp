@@ -1,6 +1,7 @@
 // Bounded multi-producer single-consumer mailbox: the inbox of one executor
-// worker. Producers are other workers, the timer wheel and the load-injecting
-// edge thread; the single consumer is the owning worker's run loop.
+// worker, verify worker or exec shard. Producers are other workers, the timer
+// wheel and the load-injecting edge thread; the single consumer is the owning
+// thread's run loop.
 //
 // Two producer entry points with different blocking disciplines:
 //
@@ -14,14 +15,23 @@
 //                   is bounded by the protocol itself once the edge is
 //                   throttled, so the overshoot is small.
 //
-// close() wakes everyone; pop() then drains what is left and returns false.
+// The consumer takes everything queued in one drain() — one lock per batch,
+// not per item — and runs it in order, so each producer's items stay FIFO
+// across batches. A producer signals only when the consumer is parked, and
+// drain() wakes blocked push() callers only when there are any. The queue
+// and the consumer's batch are two vectors swapped under the lock, so in
+// steady state a hand-off allocates nothing: each keeps its capacity.
+// Capacity bounds the items queued and not yet drained; the batch being run
+// does not count.
+//
+// close() wakes everyone; drain() then returns what is left, then false.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 
@@ -38,42 +48,55 @@ class Mailbox {
   /// mailbox was closed — the item is dropped then.
   bool push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [this] { return closed_ || items_.size() < capacity_; });
+    while (!closed_ && items_.size() >= capacity_) {
+      ++blocked_producers_;
+      not_full_.wait(lock);
+      --blocked_producers_;
+    }
     if (closed_) return false;
     items_.push_back(std::move(item));
+    const bool wake = take_parked();
     lock.unlock();
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
   /// Non-blocking push that ignores capacity (interior producers: workers,
   /// timer wheel). Returns false iff closed.
   bool force_push(T item) {
+    bool wake = false;
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (closed_) return false;
       items_.push_back(std::move(item));
+      wake = take_parked();
     }
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
-  /// Blocks until an item is available or the mailbox is closed *and*
-  /// drained; returns false only in the latter case.
-  bool pop(T& out) {
+  /// Blocks until items are queued or the mailbox is closed *and* drained.
+  /// Swaps every queued item into `batch`, which must be empty (the caller
+  /// clears it after running the batch, keeping its capacity); returns false
+  /// only when closed and drained.
+  bool drain(std::vector<T>& batch) {
+    BZC_EXPECTS(batch.empty());
     std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
+    while (items_.empty() && !closed_) {
+      consumer_parked_ = true;
+      not_empty_.wait(lock);
+    }
+    consumer_parked_ = false;
     if (items_.empty()) return false;  // closed and drained
-    out = std::move(items_.front());
-    items_.pop_front();
+    batch.swap(items_);
+    const bool wake_producers = blocked_producers_ > 0;
     lock.unlock();
-    not_full_.notify_one();
+    if (wake_producers) not_full_.notify_all();
     return true;
   }
 
   /// Rejects future pushes and wakes all waiters. Items already queued stay
-  /// poppable (the consumer drains them before its loop exits).
+  /// drainable (the consumer runs them before its loop exits).
   void close() {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -90,11 +113,17 @@ class Mailbox {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
+  /// Caller holds mu_. True (once) when the consumer is parked and must be
+  /// signalled; later producers see it cleared and skip the syscall.
+  bool take_parked() { return std::exchange(consumer_parked_, false); }
+
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<T> items_;
+  std::vector<T> items_;
+  bool consumer_parked_ = false;
+  std::size_t blocked_producers_ = 0;
   bool closed_ = false;
 };
 

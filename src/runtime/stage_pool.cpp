@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "sim/actor.hpp"
 
 namespace byzcast::runtime {
 
@@ -12,9 +13,8 @@ thread_local bool t_in_exec_shard = false;
 }  // namespace
 
 StagePool::StagePool(std::uint32_t verify_workers, std::uint32_t exec_shards,
-                     std::size_t mailbox_capacity, Poster post_to_owner)
-    : post_to_owner_(std::move(post_to_owner)) {
-  BZC_EXPECTS(post_to_owner_ != nullptr);
+                     std::size_t mailbox_capacity, ThreadNetwork& network)
+    : network_(network) {
   verify_boxes_.reserve(verify_workers);
   for (std::uint32_t i = 0; i < verify_workers; ++i) {
     verify_boxes_.push_back(
@@ -54,68 +54,38 @@ void StagePool::stop() {
 
 void StagePool::run_verify(std::size_t index) {
   Mailbox<VerifyTask>& box = *verify_boxes_[index];
-  VerifyTask task;
-  while (box.pop(task)) {
-    task.preverify(task.msg);
-    // Completion must go through the per-owner reorder buffer; the actual
-    // hand-back to the owner's executor lane happens inside complete_verify,
-    // in ticket order.
-    complete_verify(
-        task.owner, task.ticket,
-        [release = std::move(task.release), m = std::move(task.msg)]() mutable {
-          release(std::move(m));
-        });
-    task = VerifyTask{};
+  std::vector<VerifyTask> batch;
+  while (box.drain(batch)) {
+    for (VerifyTask& task : batch) {
+      if (const sim::Actor* owner = network_.actor_of(task.owner)) {
+        owner->stage_preverify(task.msg);
+      }
+      // An owner detached meanwhile makes this a counted network drop.
+      network_.deliver_verified(task.owner, std::move(task.msg));
+    }
+    batch.clear();
   }
 }
 
-void StagePool::complete_verify(ProcessId owner, std::uint64_t ticket,
-                                std::function<void()> post) {
-  const std::lock_guard<std::mutex> lock(lanes_mu_);
-  Lane& lane = lanes_[owner];
-  if (ticket != lane.next_post) ++reordered_;
-  lane.done.emplace(ticket, std::move(post));
-  auto it = lane.done.find(lane.next_post);
-  while (it != lane.done.end()) {
-    // Posting under the lock keeps two workers completing for the same owner
-    // from interleaving: the owner's mailbox receives releases in ticket
-    // order. The poster never blocks (force-push), so holding the lock here
-    // cannot deadlock against a submitter.
-    post_to_owner_(owner, std::move(it->second));
-    lane.done.erase(it);
-    it = lane.done.find(++lane.next_post);
-  }
-}
-
-void StagePool::submit_verify(ProcessId owner, sim::WireMessage msg,
-                              std::function<void(sim::WireMessage&)> preverify,
-                              std::function<void(sim::WireMessage)> release) {
+void StagePool::submit_verify(ProcessId owner, sim::WireMessage msg) {
   BZC_EXPECTS(!verify_boxes_.empty());
-  VerifyTask task;
-  task.owner = owner;
-  task.msg = std::move(msg);
-  task.preverify = std::move(preverify);
-  task.release = std::move(release);
-  std::size_t worker;
-  {
-    const std::lock_guard<std::mutex> lock(lanes_mu_);
-    task.ticket = lanes_[owner].next_submit++;
-    worker = static_cast<std::size_t>(next_verify_worker_++ %
-                                      verify_boxes_.size());
-  }
-  // A push after stop() drops the message — the same fate the network gives
-  // a message in flight to a destroyed actor; drivers reach quiescence
-  // before stopping the env, so nothing of consequence is lost.
-  verify_boxes_[worker]->force_push(std::move(task));
+  const std::size_t worker = static_cast<std::size_t>(
+      next_verify_worker_.fetch_add(1, std::memory_order_relaxed) %
+      verify_boxes_.size());
+  // After stop() the push is dropped (teardown only; see the header).
+  verify_boxes_[worker]->force_push(VerifyTask{owner, std::move(msg)});
 }
 
 void StagePool::run_exec(std::size_t index) {
   t_in_exec_shard = true;
   Mailbox<std::function<void()>>& box = *exec_boxes_[index];
-  std::function<void()> work;
-  while (box.pop(work)) {
-    work();
-    work = nullptr;
+  std::vector<std::function<void()>> batch;
+  while (box.drain(batch)) {
+    for (std::function<void()>& work : batch) {
+      const std::function<void()> run = std::move(work);
+      run();
+    }
+    batch.clear();
   }
   t_in_exec_shard = false;
 }
@@ -123,7 +93,7 @@ void StagePool::run_exec(std::size_t index) {
 void StagePool::submit_exec(std::uint64_t key, std::function<void()> work) {
   BZC_EXPECTS(!exec_boxes_.empty());
   const std::size_t shard = static_cast<std::size_t>(key % exec_boxes_.size());
-  // After stop() the push is dropped (shutdown only; see submit_verify).
+  // After stop() the push is dropped (teardown only; see the header).
   exec_boxes_[shard]->force_push(std::move(work));
 }
 

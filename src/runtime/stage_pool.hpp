@@ -2,13 +2,12 @@
 //
 // Two fixed thread pools hang off the RuntimeEnv next to the Executor:
 //
-//  * verify workers — each owns a bounded MPSC mailbox of verify tasks.
-//    Tasks for one owner are ticketed at submission (the owner's executor
-//    lane is the single submitter, so tickets ARE the arrival order) and
-//    their completions pass through a per-owner reorder buffer: a result is
-//    posted back to the owner only when every earlier ticket of that owner
-//    has been posted, so the order stage observes exactly the sequence it
-//    would have seen verifying inline.
+//  * verify workers — each owns a bounded MPSC mailbox of verify tasks (the
+//    owner and the message, as data). Submissions go round-robin on an
+//    atomic counter; a worker runs the owner's Actor::stage_preverify and
+//    posts the message back to the owner's executor lane. Workers finish
+//    out of order; the owner's ticket frontier (sim::Actor) restores
+//    submission order on its own lane, without a lock.
 //  * exec shards — each owns a mailbox of deferred execute/reply closures,
 //    keyed by destination key (key % shards), so work on one key is serial
 //    while distinct keys run in parallel. Reply FIFO per origin is the
@@ -16,24 +15,22 @@
 //    execution.
 //
 // Shutdown: stop() closes both pools' mailboxes and joins the workers
-// (remaining queued tasks are drained, their completions posted). The owning
-// RuntimeEnv stops the pool before the Executor, so every posted completion
-// still finds a live worker; submissions after stop() are dropped — the same
-// fate the network gives a message in flight to a destroyed actor, and
-// drivers reach quiescence before stopping the env.
+// (remaining queued tasks are drained, verified messages posted back). The
+// owning RuntimeEnv stops the pool before the Executor, so every post-back
+// still finds a live worker. A submission after stop() is dropped silently:
+// that happens only at teardown, after the run reached quiescence.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
 #include "runtime/mailbox.hpp"
+#include "runtime/thread_network.hpp"
 #include "sim/stages.hpp"
 #include "sim/wire.hpp"
 
@@ -41,20 +38,17 @@ namespace byzcast::runtime {
 
 class StagePool final : public sim::StageBackend {
  public:
-  /// Posts `fn` to run serialized on `owner`'s executor lane. Must never
-  /// block (the pool calls it while holding its reorder lock).
-  using Poster = std::function<void(ProcessId owner, std::function<void()>)>;
-
+  /// `network` resolves verify owners and carries results back to them.
   StagePool(std::uint32_t verify_workers, std::uint32_t exec_shards,
-            std::size_t mailbox_capacity, Poster post_to_owner);
+            std::size_t mailbox_capacity, ThreadNetwork& network);
   ~StagePool() override;
 
   StagePool(const StagePool&) = delete;
   StagePool& operator=(const StagePool&) = delete;
 
   void start();
-  /// Idempotent: drains and joins both pools. After stop(), submissions run
-  /// inline on the submitting thread.
+  /// Idempotent: drains and joins both pools. Later submissions are
+  /// dropped.
   void stop();
 
   // --- StageBackend --------------------------------------------------------
@@ -64,56 +58,27 @@ class StagePool final : public sim::StageBackend {
   [[nodiscard]] std::uint32_t exec_shards() const override {
     return static_cast<std::uint32_t>(exec_boxes_.size());
   }
-  void submit_verify(ProcessId owner, sim::WireMessage msg,
-                     std::function<void(sim::WireMessage&)> preverify,
-                     std::function<void(sim::WireMessage)> release) override;
+  void submit_verify(ProcessId owner, sim::WireMessage msg) override;
   void submit_exec(std::uint64_t key, std::function<void()> work) override;
   [[nodiscard]] bool in_exec_shard() const override;
-
-  // --- observability (tests) ----------------------------------------------
-  /// Completions that finished out of submission order and waited in the
-  /// reorder buffer — proof the pool actually ran concurrently.
-  [[nodiscard]] std::uint64_t verify_reordered() const {
-    const std::lock_guard<std::mutex> lock(lanes_mu_);
-    return reordered_;
-  }
 
  private:
   struct VerifyTask {
     ProcessId owner;
-    std::uint64_t ticket = 0;
     sim::WireMessage msg;
-    std::function<void(sim::WireMessage&)> preverify;
-    std::function<void(sim::WireMessage)> release;
-  };
-
-  /// Per-owner completion-reorder buffer.
-  struct Lane {
-    std::uint64_t next_submit = 0;
-    std::uint64_t next_post = 0;
-    std::map<std::uint64_t, std::function<void()>> done;  // ticket -> post
   };
 
   void run_verify(std::size_t index);
   void run_exec(std::size_t index);
-  /// Registers `ticket`'s completion and posts every now-consecutive one of
-  /// `owner`, in ticket order, under the lanes lock (two workers completing
-  /// for the same owner must not interleave their posts).
-  void complete_verify(ProcessId owner, std::uint64_t ticket,
-                       std::function<void()> post);
 
-  Poster post_to_owner_;
+  ThreadNetwork& network_;
   std::vector<std::unique_ptr<Mailbox<VerifyTask>>> verify_boxes_;
   std::vector<std::unique_ptr<Mailbox<std::function<void()>>>> exec_boxes_;
+  /// Round-robin dispatch of verify tasks across workers.
+  std::atomic<std::uint64_t> next_verify_worker_{0};
   std::vector<std::thread> threads_;
   bool started_ = false;
   bool stopped_ = false;
-
-  mutable std::mutex lanes_mu_;
-  std::unordered_map<ProcessId, Lane> lanes_;
-  std::uint64_t reordered_ = 0;
-  /// Round-robin dispatch of verify tasks across workers.
-  std::uint64_t next_verify_worker_ = 0;
 };
 
 }  // namespace byzcast::runtime

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/contracts.hpp"
 #include "common/span.hpp"
 
 namespace byzcast::sim {
@@ -30,17 +31,9 @@ void Actor::enqueue(WireMessage msg) {
     if (StageBackend* stages = env_.stages();
         stages != nullptr && stages->verify_workers() > 0) {
       // Runtime backend: real worker pool. The message re-enters via
-      // enqueue_verified on this actor's executor lane, in submission order.
-      stages->submit_verify(
-          id_, std::move(msg),
-          [this, weak = std::weak_ptr<void>(alive_)](WireMessage& m) {
-            if (weak.expired()) return;
-            stage_preverify(m);
-          },
-          [this, weak = std::weak_ptr<void>(alive_)](WireMessage m) {
-            if (weak.expired()) return;
-            enqueue_verified(std::move(m));
-          });
+      // enqueue_verified on this actor's executor lane, in any order.
+      msg.verify_ticket = verify_issued_++;
+      stages->submit_verify(id_, std::move(msg));
       return;
     }
     if (const std::uint32_t workers = env_.profile().verify_workers;
@@ -61,8 +54,39 @@ void Actor::enqueue(WireMessage msg) {
 void Actor::enqueue_verified(WireMessage msg) {
   if (crashed_) return;
   if (msg.enqueued_at < 0) msg.enqueued_at = env_.now();
+  if (msg.verify_ticket != verify_released_) {
+    park_verified(std::move(msg));
+    return;
+  }
   inbox_.push_back(std::move(msg));
+  ++verify_released_;
+  // Release the successors that finished first.
+  while (!verify_parked_.empty()) {
+    auto& slot =
+        verify_parked_[verify_released_ & (verify_parked_.size() - 1)];
+    if (!slot) break;
+    inbox_.push_back(std::move(*slot));
+    slot.reset();
+    ++verify_released_;
+  }
   maybe_drain();
+}
+
+void Actor::park_verified(WireMessage msg) {
+  BZC_EXPECTS(msg.verify_ticket > verify_released_);
+  const std::uint64_t ahead = msg.verify_ticket - verify_released_;
+  if (ahead >= verify_parked_.size()) {
+    std::size_t size = std::max<std::size_t>(16, verify_parked_.size());
+    while (size <= ahead) size *= 2;
+    std::vector<std::optional<WireMessage>> grown(size);
+    for (auto& slot : verify_parked_) {
+      if (slot) grown[slot->verify_ticket & (size - 1)] = std::move(slot);
+    }
+    verify_parked_ = std::move(grown);
+  }
+  auto& slot =
+      verify_parked_[msg.verify_ticket & (verify_parked_.size() - 1)];
+  slot = std::move(msg);
 }
 
 void Actor::stage_preverify(WireMessage& msg) const {
@@ -81,10 +105,11 @@ void Actor::model_stage_verify(WireMessage msg, std::uint32_t workers,
       std::min_element(verify_busy_.begin(), verify_busy_.begin() + workers);
   const Time done = std::max(env_.now(), *slot) + vcost;
   *slot = done;
-  // Completion-reorder buffer: a result never overtakes an earlier
-  // submission, so the order stage sees the arrival sequence.
+  // A result never overtakes an earlier submission: it is ready no sooner
+  // than its predecessor, so it reaches the ticket frontier in turn.
   const Time ready = std::max(done, verify_frontier_);
   verify_frontier_ = ready;
+  msg.verify_ticket = verify_issued_++;
   env_.schedule(id_, ready - env_.now(),
                 [this, weak = std::weak_ptr<void>(alive_),
                  m = std::move(msg)]() mutable {

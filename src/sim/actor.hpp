@@ -18,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,9 +47,11 @@ class Actor {
   /// entering the inbox; everything else goes straight in.
   void enqueue(WireMessage msg);
 
-  /// Inbox entry for a message that already went through the verify stage.
-  /// Must run serialized on the actor (the stage pool posts it back to the
-  /// owner's executor lane; the simulator schedules it at modeled-done time).
+  /// Inbox entry for a message coming back from the verify stage. Must run
+  /// serialized on the actor (the stage pool posts it back to the owner's
+  /// executor lane; the simulator schedules it at modeled-done time).
+  /// Results arrive in any order; each is released to the inbox only after
+  /// every earlier verify ticket was (a message ahead of its turn waits).
   void enqueue_verified(WireMessage msg);
 
   /// Verify-stage body: stamps msg.verify_verdict from the MAC check and, on
@@ -144,10 +147,11 @@ class Actor {
  private:
   void maybe_drain();
   /// Simulated verify pool: W servers, earliest-free assignment, completion
-  /// reordered behind `verify_frontier_` so results re-enter in arrival
-  /// order — the same semantics the runtime StagePool implements with real
-  /// threads and a per-owner reorder buffer.
+  /// timed behind `verify_frontier_` so results re-enter in arrival order —
+  /// the order the ticket frontier enforces on the runtime's real pool.
   void model_stage_verify(WireMessage msg, std::uint32_t workers, Time vcost);
+  /// Holds a verify result whose earlier tickets are still out.
+  void park_verified(WireMessage msg);
   /// Records the per-message mailbox-wait / CPU-service infrastructure spans
   /// (no-op unless a SpanLog is attached with actor spans enabled).
   void stamp_actor_spans(const WireMessage& m) const;
@@ -168,6 +172,12 @@ class Actor {
   /// Simulated verify pool state (empty until the first staged message).
   std::vector<Time> verify_busy_;
   Time verify_frontier_ = 0;
+  /// Verify ticket frontier (both backends): the next ticket to hand out,
+  /// the next one to release, and results parked ahead of their turn in a
+  /// ring indexed by ticket (power-of-two size; grows, never shrinks).
+  std::uint64_t verify_issued_ = 0;
+  std::uint64_t verify_released_ = 0;
+  std::vector<std::optional<WireMessage>> verify_parked_;
 };
 
 }  // namespace byzcast::sim

@@ -6,9 +6,10 @@
 //
 //  * verify stage — inbound protocol messages are handed to a worker pool
 //    for MAC verification and batch-digest precomputation before they enter
-//    the serial order stage. Results re-enter the owner's executor lane in
-//    submission order (a per-owner completion-reorder buffer), so the order
-//    stage sees exactly the arrival sequence it would have seen inline.
+//    the serial order stage. Results come back to the owner's executor lane
+//    in any order; the owner (sim::Actor) releases them through its ticket
+//    frontier in submission order, so the order stage sees exactly the
+//    arrival sequence it would have seen inline.
 //  * execute/reply stage — once delivery order is fixed, pure per-request
 //    work (application execution of independent keys, reply encoding) is
 //    sharded by destination key. Ordering, relay forwarding and a-delivery
@@ -16,8 +17,8 @@
 //    with a per-origin barrier (bft/exec_barrier.hpp).
 //
 // The deterministic simulator returns nullptr and instead *models* the
-// verify pool inside Actor (same reorder semantics, simulated time); the
-// net backend also returns nullptr and runs everything inline. Both are
+// verify pool inside Actor (same ticket frontier, simulated time); the net
+// backend also returns nullptr and runs everything inline. Both are
 // bit-identical to the pre-stage behaviour at verify_workers = 0.
 #pragma once
 
@@ -38,15 +39,12 @@ class StageBackend {
   /// Shard threads in the execute/reply stage (0 = exec stays inline).
   [[nodiscard]] virtual std::uint32_t exec_shards() const = 0;
 
-  /// Hands one inbound message to the verify pool. `preverify` runs on a
-  /// pool worker thread and must be thread-safe with respect to the owner
-  /// (it may only touch const/thread-safe actor state: the Authenticator and
-  /// pure digest computation). `release` runs afterwards, serialized on the
-  /// owner's executor lane; releases for one owner happen in submission
-  /// order regardless of which worker finishes first.
-  virtual void submit_verify(ProcessId owner, WireMessage msg,
-                             std::function<void(WireMessage&)> preverify,
-                             std::function<void(WireMessage)> release) = 0;
+  /// Hands one inbound message of `owner` to the verify pool. A pool worker
+  /// runs the owner's Actor::stage_preverify on it, then the message
+  /// re-enters through Actor::enqueue_verified, serialized on the owner's
+  /// executor lane. Completions may arrive in any order; msg.verify_ticket
+  /// lets the owner restore submission order.
+  virtual void submit_verify(ProcessId owner, WireMessage msg) = 0;
 
   /// Runs `work` on the exec shard responsible for `key` (key % exec_shards).
   /// `work` must be thread-safe; per-shard execution is serial. Only valid

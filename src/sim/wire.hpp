@@ -36,6 +36,9 @@ struct WireMessage {
   /// 0 = not pre-verified, 1 = MAC ok, -1 = MAC bad. The order stage trusts
   /// a nonzero verdict and skips the inline verification.
   std::int8_t verify_verdict = 0;
+  /// The receiving actor's submission order into the verify stage; results
+  /// are released to the order stage in ticket order (Actor).
+  std::uint64_t verify_ticket = 0;
   /// When true, `batch_digest` carries the SHA-256 of the PROPOSE batch
   /// slice, precomputed by the verify stage so the order stage does not
   /// rehash the batch on its critical path.

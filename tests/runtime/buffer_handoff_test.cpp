@@ -41,8 +41,11 @@ TEST(MailboxBufferHandoff, SingleProducerShipsAliasedCopies) {
   // Consumer side: every copy aliases the same storage and reads the same
   // bytes, concurrently with the producer still pushing further refs.
   std::vector<Buffer> received;
-  Buffer item;
-  while (box.pop(item)) received.push_back(std::move(item));
+  std::vector<Buffer> batch;
+  while (box.drain(batch)) {
+    for (Buffer& b : batch) received.push_back(std::move(b));
+    batch.clear();
+  }
   producer.join();
 
   ASSERT_EQ(received.size(), static_cast<std::size_t>(kCopies));
@@ -68,8 +71,10 @@ TEST(MailboxBufferHandoff, SliceStaysValidAfterProducerReleasesParent) {
   });
   producer.join();  // parent destroyed before we pop
 
-  Buffer slice;
-  ASSERT_TRUE(box.pop(slice));
+  std::vector<Buffer> batch;
+  ASSERT_TRUE(box.drain(batch));
+  ASSERT_EQ(batch.size(), 1u);
+  const Buffer& slice = batch.front();
   ASSERT_EQ(slice.size(), 64u);
   for (std::size_t i = 0; i < slice.size(); ++i) {
     EXPECT_EQ(slice[i], static_cast<std::uint8_t>(40 + 32 + i));
@@ -97,12 +102,14 @@ TEST(MailboxBufferHandoff, ManyProducersFanOutOneSharedPayload) {
 
   int popped = 0;
   std::uint64_t checksum = 0;
-  Buffer item;
-  while (popped < kProducers * kPerProducer && box.pop(item)) {
-    ++popped;
-    ASSERT_EQ(item.data(), shared.data());
-    checksum += item[static_cast<std::size_t>(popped) % item.size()];
-    item = Buffer{};  // release this ref on the consumer thread
+  std::vector<Buffer> batch;
+  while (popped < kProducers * kPerProducer && box.drain(batch)) {
+    for (const Buffer& item : batch) {
+      ++popped;
+      ASSERT_EQ(item.data(), shared.data());
+      checksum += item[static_cast<std::size_t>(popped) % item.size()];
+    }
+    batch.clear();  // release these refs on the consumer thread
   }
   for (std::thread& t : producers) t.join();
   box.close();
@@ -123,10 +130,11 @@ TEST(MailboxBufferHandoff, LastOwnerMayDieOnConsumerThread) {
   producer.join();
 
   {
-    Buffer last;
-    ASSERT_TRUE(box.pop(last));
-    EXPECT_EQ(last.data(), data);
-    EXPECT_EQ(last[63], static_cast<std::uint8_t>(90 + 63));
+    std::vector<Buffer> batch;
+    ASSERT_TRUE(box.drain(batch));
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch.front().data(), data);
+    EXPECT_EQ(batch.front()[63], static_cast<std::uint8_t>(90 + 63));
   }  // the final ref — storage is freed here, on the consumer thread
 }
 

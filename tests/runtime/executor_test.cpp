@@ -76,6 +76,27 @@ TEST(Executor, SelfPostRunsBeforeLaterMailboxTraffic) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(Executor, SelfPostRunsBeforeRestOfQueuedBatch) {
+  Executor ex(1);
+  std::vector<char> order;
+  Latch done(1);
+  // Queued before start, so the worker drains A, B and C as one batch; A's
+  // self-post must still run before B.
+  ASSERT_TRUE(ex.post(0, [&] {
+    order.push_back('A');
+    ex.post(0, [&] { order.push_back('a'); });
+  }));
+  ASSERT_TRUE(ex.post(0, [&] { order.push_back('B'); }));
+  ASSERT_TRUE(ex.post(0, [&] {
+    order.push_back('C');
+    done.arrive();
+  }));
+  ex.start();
+  ASSERT_TRUE(done.wait_for(std::chrono::seconds(30)));
+  ex.stop();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'a', 'B', 'C'}));
+}
+
 TEST(Executor, StopDrainsQueuedTasksThenRejects) {
   Executor ex(2);
   std::atomic<int> ran{0};

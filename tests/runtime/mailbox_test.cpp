@@ -3,24 +3,37 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 namespace byzcast::runtime {
 namespace {
 
+/// Drains one batch and returns it (empty when closed and drained).
+std::vector<int> drain_batch(Mailbox<int>& mb) {
+  std::vector<int> batch;
+  mb.drain(batch);
+  return batch;
+}
+
+/// Polls `flag` until it is set or `timeout` passes.
+bool wait_until(const std::atomic<bool>& flag,
+                std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(Mailbox, FifoSingleThread) {
   Mailbox<int> mb(8);
   EXPECT_TRUE(mb.push(1));
   EXPECT_TRUE(mb.push(2));
   EXPECT_TRUE(mb.push(3));
-  int v = 0;
-  EXPECT_TRUE(mb.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(mb.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(mb.pop(v));
-  EXPECT_EQ(v, 3);
+  EXPECT_EQ(drain_batch(mb), (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(mb.size(), 0u);
 }
 
@@ -29,16 +42,13 @@ TEST(Mailbox, PushBlocksAtCapacityUntilPop) {
   ASSERT_TRUE(mb.push(1));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(mb.push(2));  // full: must wait for the pop below
+    EXPECT_TRUE(mb.push(2));  // full: must wait for the drain below
     pushed.store(true);
   });
   // Cannot assert "still blocked" without a race; assert the postcondition:
-  // after one pop, the producer gets through and both items come out FIFO.
-  int v = 0;
-  ASSERT_TRUE(mb.pop(v));
-  EXPECT_EQ(v, 1);
-  ASSERT_TRUE(mb.pop(v));
-  EXPECT_EQ(v, 2);
+  // after one drain, the producer gets through and both items come out FIFO.
+  EXPECT_EQ(drain_batch(mb), (std::vector<int>{1}));
+  EXPECT_EQ(drain_batch(mb), (std::vector<int>{2}));
   producer.join();
   EXPECT_TRUE(pushed.load());
 }
@@ -47,11 +57,8 @@ TEST(Mailbox, ForcePushIgnoresCapacity) {
   Mailbox<int> mb(2);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(mb.force_push(i));
   EXPECT_EQ(mb.size(), 10u);
-  int v = -1;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(mb.pop(v));
-    EXPECT_EQ(v, i);
-  }
+  EXPECT_EQ(drain_batch(mb),
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(Mailbox, CloseWakesBlockedProducerWithFalse) {
@@ -62,17 +69,16 @@ TEST(Mailbox, CloseWakesBlockedProducerWithFalse) {
   mb.close();
   producer.join();
   // The queued item survives the close for the consumer to drain.
-  int v = 0;
-  EXPECT_TRUE(mb.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_FALSE(mb.pop(v));  // drained and closed
+  EXPECT_EQ(drain_batch(mb), (std::vector<int>{1}));
+  std::vector<int> batch;
+  EXPECT_FALSE(mb.drain(batch));  // drained and closed
 }
 
 TEST(Mailbox, CloseWakesBlockedConsumerAfterDrain) {
   Mailbox<int> mb(4);
   std::thread consumer([&] {
-    int v = 0;
-    EXPECT_FALSE(mb.pop(v));  // blocks until close, then false (empty)
+    std::vector<int> batch;
+    EXPECT_FALSE(mb.drain(batch));  // blocks until close, then false (empty)
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   mb.close();
@@ -93,18 +99,19 @@ TEST(Mailbox, MultiProducerSingleConsumerDeliversEverything) {
       }
     });
   }
+  constexpr std::size_t kTotal = kProducers * kPerProducer;
   std::vector<int> seen;
   std::thread consumer([&] {
-    int v = 0;
-    for (int i = 0; i < kProducers * kPerProducer; ++i) {
-      ASSERT_TRUE(mb.pop(v));
-      seen.push_back(v);
+    std::vector<int> batch;
+    while (seen.size() < kTotal) {
+      ASSERT_TRUE(mb.drain(batch));
+      seen.insert(seen.end(), batch.begin(), batch.end());
+      batch.clear();
     }
   });
   for (auto& t : producers) t.join();
   consumer.join();
-  ASSERT_EQ(seen.size(),
-            static_cast<std::size_t>(kProducers * kPerProducer));
+  ASSERT_EQ(seen.size(), kTotal);
   // Per-producer FIFO: each producer's items appear in its push order.
   std::vector<int> last(kProducers, -1);
   for (const int v : seen) {
@@ -112,6 +119,64 @@ TEST(Mailbox, MultiProducerSingleConsumerDeliversEverything) {
     EXPECT_LT(last[p], v % kPerProducer);
     last[p] = v % kPerProducer;
   }
+}
+
+TEST(Mailbox, BatchDrainKeepsEachProducersOrderAcrossBatches) {
+  Mailbox<int> mb(64);
+  std::vector<int> batch;
+  // Two producers interleaved: 1xx and 2xx. A batch holds everything queued
+  // at drain time, in push order; the next batch continues each sequence.
+  ASSERT_TRUE(mb.force_push(100));
+  ASSERT_TRUE(mb.force_push(200));
+  ASSERT_TRUE(mb.force_push(101));
+  ASSERT_TRUE(mb.drain(batch));
+  EXPECT_EQ(batch, (std::vector<int>{100, 200, 101}));
+  batch.clear();
+  ASSERT_TRUE(mb.force_push(201));
+  ASSERT_TRUE(mb.force_push(102));
+  ASSERT_TRUE(mb.force_push(202));
+  ASSERT_TRUE(mb.drain(batch));
+  EXPECT_EQ(batch, (std::vector<int>{201, 102, 202}));
+  EXPECT_EQ(mb.size(), 0u);
+}
+
+TEST(Mailbox, CloseThenDrainReturnsTheRestThenFalse) {
+  Mailbox<int> mb(2);
+  ASSERT_TRUE(mb.push(1));
+  ASSERT_TRUE(mb.force_push(2));
+  ASSERT_TRUE(mb.force_push(3));
+  mb.close();
+  EXPECT_FALSE(mb.force_push(4));
+  std::vector<int> batch;
+  ASSERT_TRUE(mb.drain(batch));
+  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
+  batch.clear();
+  EXPECT_FALSE(mb.drain(batch));
+  EXPECT_TRUE(batch.empty());
+}
+
+TEST(Mailbox, PushBlockedAtCapacityWakesAfterBatchDrain) {
+  Mailbox<int> mb(2);
+  ASSERT_TRUE(mb.push(1));
+  ASSERT_TRUE(mb.push(2));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    mb.push(3);
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());  // full: the producer waits
+  std::vector<int> batch;
+  ASSERT_TRUE(mb.drain(batch));
+  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
+  // One drain empties the queue, so the blocked producer must be woken by
+  // it rather than by a later per-item pop.
+  EXPECT_TRUE(wait_until(pushed, std::chrono::seconds(10)));
+  mb.close();  // releases the producer if it is still (wrongly) blocked
+  producer.join();
+  batch.clear();
+  ASSERT_TRUE(mb.drain(batch));
+  EXPECT_EQ(batch, (std::vector<int>{3}));
 }
 
 }  // namespace
