@@ -1,10 +1,13 @@
 // Runs a workload spec (configs/workloads/*.json) on the simulator: one
 // curve per spec curve — a latency-vs-offered-load sweep with saturation
-// knee detection, a fixed-rate point, or a step schedule — and writes the
-// "byzcast-sweep-v1" artifact (validated by tools/check_sweep.py, plotted
-// by tools/plot_benches.py). Curves differ only by knob values, e.g.
-// pipeline_depth 1 for the sequential protocol. With span tracing on,
-// every point also carries its critical-path breakdown per message class.
+// knee detection, a fixed-rate point (rate 0: the closed loop), or a step
+// schedule — and writes the "byzcast-sweep-v1" artifact (validated by
+// tools/check_sweep.py, plotted by tools/plot_benches.py). Curves differ
+// only by knob values, e.g. pipeline_depth 1 for the sequential protocol,
+// or a protocol and group count per curve for the paper's figures
+// (configs/workloads/fig*.json). Every point carries throughput, mean,
+// p50/p95/p99/p99.9/max and a CDF for all messages and per class; with
+// span tracing on, also its critical-path breakdown per message class.
 //
 // Usage: bench_sweep --spec <file.json> [--out <file.json>]
 //
@@ -16,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/report.hpp"
@@ -51,35 +55,59 @@ int main(int argc, char** argv) {
   const bool sweep =
       spec->schedule.kind == workload::RateSchedule::Kind::kSweep;
   workload::print_header(
-      "Workload '" + spec->name + "': " +
-      workload::to_string(spec->base.protocol) + " " +
-      workload::to_string(spec->base.environment) + ", " +
-      std::to_string(spec->base.num_groups) + " groups" +
-      (sweep ? ", knee = first rate with p99 > plateau x factor or goodput "
+      "Workload '" + spec->name + "'" +
+      (sweep ? ": knee = first rate with p99 > plateau x factor or goodput "
                "< floor, bisected"
              : ""));
 
   const workload::WorkloadOutcome outcome = workload::run_workload(*spec);
+  const std::vector<workload::CurveSpec> curves = workload::curves_of(*spec);
 
   using workload::fmt;
-  for (const workload::SweepCurve& curve : outcome.curves) {
-    std::printf("\ncurve: %s\n", curve.label.c_str());
+  // A closed-loop point (rate 0) has no offered load to compare against.
+  const auto offered = [](const workload::SweepPoint& pt) {
+    return pt.offered > 0.0 ? fmt(pt.offered, 0) + " msg/s" : "closed loop";
+  };
+  for (std::size_t i = 0; i < outcome.curves.size(); ++i) {
+    const workload::SweepCurve& curve = outcome.curves[i];
+    const workload::ExperimentConfig& cfg = curves[i].config;
+    std::printf("\ncurve: %s (%s %s, %d groups x %d clients, %s)\n",
+                curve.label.c_str(), workload::to_string(cfg.protocol),
+                workload::to_string(cfg.environment), cfg.num_groups,
+                cfg.clients_per_group,
+                workload::to_string(cfg.workload.pattern));
+    // One row per point for all messages (with its health), then one per
+    // class that completed anything.
     std::vector<std::vector<std::string>> rows;
     for (const workload::SweepPoint& pt : curve.points) {
-      rows.push_back({fmt(pt.offered, 0), fmt(pt.throughput, 0),
-                      fmt(100.0 * pt.goodput_ratio, 1), fmt(pt.p50_ms, 2),
-                      fmt(pt.p99_ms, 2), pt.saturated ? "SAT" : "ok",
-                      std::to_string(pt.monitor_violations)});
+      for (const auto& [name, cls] :
+           {std::pair{"all", &pt.all}, std::pair{"local", &pt.local},
+            std::pair{"global", &pt.global}}) {
+        const bool all = cls == &pt.all;
+        if (!all && cls->n == 0) continue;
+        std::vector<std::string> row = {
+            all ? offered(pt) : "", name, std::to_string(cls->n),
+            fmt(cls->throughput, 0),
+            all && pt.offered > 0.0 ? fmt(100.0 * pt.goodput_ratio, 1) : ""};
+        for (const auto& [field, member] : workload::kLatencyFields) {
+          row.push_back(fmt(cls->*member, 2));
+        }
+        row.push_back(all ? (pt.saturated ? "SAT" : "ok") : "");
+        row.push_back(all ? std::to_string(pt.monitor_violations) : "");
+        rows.push_back(std::move(row));
+      }
     }
-    workload::print_table({"offered/s", "msgs/s", "goodput %", "p50 ms",
-                           "p99 ms", "state", "violations"},
+    workload::print_table({"offered", "class", "n", "msgs/s", "goodput %",
+                           "mean ms", "p50 ms", "p95 ms", "p99 ms",
+                           "p99.9 ms", "max ms", "state", "violations"},
                           rows);
     rows.clear();
     for (const workload::SweepPoint& pt : curve.points) {
       for (const bool global : {false, true}) {
-        const workload::ClassBreakdown& b = global ? pt.global : pt.local;
+        const workload::ClassBreakdown& b =
+            global ? pt.global_breakdown : pt.local_breakdown;
         if (!pt.traced || b.n == 0) continue;
-        std::vector<std::string> row = {fmt(pt.offered, 0),
+        std::vector<std::string> row = {offered(pt),
                                         global ? "global" : "local",
                                         std::to_string(b.n)};
         for (const auto& [name, member] : workload::kBreakdownComponents) {
@@ -89,15 +117,15 @@ int main(int argc, char** argv) {
       }
     }
     if (!rows.empty()) {
-      workload::print_table({"offered/s", "class", "n", "e2e p50 ms",
+      workload::print_table({"offered", "class", "n", "e2e p50 ms",
                              "queue p50", "cpu p50", "net p50", "quorum p50"},
                             rows);
     }
     if (curve.knee_found) {
       std::printf("knee: %.0f msg/s offered (p50 %.2f ms, p99 %.2f ms); "
                   "max healthy rate %.0f msg/s\n",
-                  curve.knee.offered, curve.knee.p50_ms, curve.knee.p99_ms,
-                  curve.max_unsaturated_rate);
+                  curve.knee.offered, curve.knee.all.p50_ms,
+                  curve.knee.all.p99_ms, curve.max_unsaturated_rate);
     } else if (sweep) {
       std::printf("no knee inside the grid (healthy through %.0f msg/s)\n",
                   curve.max_unsaturated_rate);
@@ -108,24 +136,23 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   int failures = 0;
-  for (const workload::SweepCurve& curve : outcome.curves) {
+  for (std::size_t i = 0; i < outcome.curves.size(); ++i) {
+    const workload::SweepCurve& curve = outcome.curves[i];
     for (const workload::SweepPoint& pt : curve.points) {
+      const std::string at = curve.label + " @ " + offered(pt);
       if (pt.completed == 0) {
-        std::printf("FAIL: %s @ %.0f msg/s completed nothing\n",
-                    curve.label.c_str(), pt.offered);
+        std::printf("FAIL: %s completed nothing\n", at.c_str());
         ++failures;
       }
       if (pt.monitor_violations != 0) {
-        std::printf("FAIL: %s @ %.0f msg/s tripped %llu invariant "
-                    "violations\n",
-                    curve.label.c_str(), pt.offered,
+        std::printf("FAIL: %s tripped %llu invariant violations\n",
+                    at.c_str(),
                     static_cast<unsigned long long>(pt.monitor_violations));
         ++failures;
       }
       if (pt.sample_overflow != 0) {
-        std::printf("FAIL: %s @ %.0f msg/s overflowed sample capacity "
-                    "(%llu dropped)\n",
-                    curve.label.c_str(), pt.offered,
+        std::printf("FAIL: %s overflowed sample capacity (%llu dropped)\n",
+                    at.c_str(),
                     static_cast<unsigned long long>(pt.sample_overflow));
         ++failures;
       }
@@ -135,11 +162,7 @@ int main(int argc, char** argv) {
                   curve.label.c_str());
       ++failures;
     }
-  }
-  const std::vector<workload::CurveSpec> curves = workload::curves_of(*spec);
-  for (std::size_t i = 1; i < outcome.curves.size(); ++i) {
-    for (const workload::BoundCheck& check : workload::check_bounds(
-             outcome.curves[i], outcome.curves.front(), curves[i].expect)) {
+    for (const workload::BoundCheck& check : outcome.checks[i]) {
       std::printf("%s: expect %s\n", check.ok ? "ok" : "FAIL",
                   check.text.c_str());
       if (!check.ok) ++failures;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "common/contracts.hpp"
 
@@ -72,17 +71,6 @@ std::vector<std::pair<double, double>> LatencyRecorder::cdf(
     points.emplace_back(static_cast<double>(xs.back()) / 1e6, 1.0);
   }
   return points;
-}
-
-std::string LatencyRecorder::summary() const {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(2);
-  os << "n=" << count() << " mean=" << mean_ms() << "ms"
-     << " p50=" << percentile_ms(50) << "ms"
-     << " p95=" << percentile_ms(95) << "ms"
-     << " p99=" << percentile_ms(99) << "ms";
-  return os.str();
 }
 
 void ThroughputMeter::record(Time when) {

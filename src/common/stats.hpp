@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -53,14 +52,11 @@ class LatencyRecorder {
   [[nodiscard]] std::vector<std::pair<double, double>> cdf(
       std::size_t max_points = 100) const;
 
-  /// One-line summary "n=... mean=...ms p50=... p95=... p99=...".
-  [[nodiscard]] std::string summary() const;
-
  private:
-  /// Sorted post-warmup latencies. Cached: summary() asks for this five
-  /// times in a row and benchmarks poll percentiles mid-run, so rebuilding
-  /// (copy + O(n log n) sort) on every call was a hot-path sink. The cache
-  /// is invalidated by record() and set_warmup().
+  /// Sorted post-warmup latencies. Cached: a sweep point asks for this
+  /// eight times in a row and benchmarks poll percentiles mid-run, so
+  /// rebuilding (copy + O(n log n) sort) on every call was a hot-path sink.
+  /// The cache is invalidated by record() and set_warmup().
   [[nodiscard]] const std::vector<Time>& effective_sorted() const;
 
   struct Sample {

@@ -4,6 +4,13 @@
 
 namespace byzcast::workload {
 
+const char* to_string(Pattern p) {
+  for (const auto& [name, pattern] : kPatternNames) {
+    if (pattern == p) return name;
+  }
+  return "?";
+}
+
 DestinationGenerator::DestinationGenerator(GeneratorConfig config,
                                            std::vector<GroupId> targets,
                                            std::size_t home)

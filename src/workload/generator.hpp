@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,6 +36,18 @@ enum class Pattern {
   /// forced-class draws are used instead and the mix comes from the rates).
   kZipf,
 };
+
+/// Each pattern's name in spec files and artifacts.
+inline constexpr std::pair<const char*, Pattern> kPatternNames[] = {
+    {"local", Pattern::kLocalOnly},
+    {"uniform-pairs", Pattern::kGlobalUniformPairs},
+    {"skewed-pairs", Pattern::kGlobalSkewedPairs},
+    {"mixed", Pattern::kMixed},
+    {"fanout", Pattern::kGlobalFanout},
+    {"zipf", Pattern::kZipf},
+};
+
+[[nodiscard]] const char* to_string(Pattern p);
 
 struct GeneratorConfig {
   Pattern pattern = Pattern::kLocalOnly;

@@ -60,16 +60,6 @@ std::ofstream open_csv(const std::string& path) {
 
 }  // namespace
 
-void write_cdf_csv(const std::string& path, const LatencyRecorder& recorder,
-                   std::size_t max_points) {
-  auto out = open_csv(path);
-  if (!out) return;
-  out << "latency_ms,cdf\n";
-  for (const auto& [ms, frac] : recorder.cdf(max_points)) {
-    out << ms << ',' << frac << '\n';
-  }
-}
-
 void write_series_csv(const std::string& path,
                       const std::vector<std::string>& columns,
                       const std::vector<std::vector<std::string>>& rows) {
@@ -150,14 +140,6 @@ void print_latency_breakdown(const ExperimentResult& result, int f) {
   print_table({"class", "n", "e2e p50 ms", "e2e p99 ms", "queue p50",
                "cpu p50", "net p50", "quorum p50"},
               rows);
-}
-
-void print_cdf(const std::string& label, const LatencyRecorder& recorder,
-               std::size_t max_points) {
-  std::printf("%s latency CDF (n=%zu):\n", label.c_str(), recorder.count());
-  for (const auto& [ms, frac] : recorder.cdf(max_points)) {
-    std::printf("  %8.2f ms  %5.3f\n", ms, frac);
-  }
 }
 
 }  // namespace byzcast::workload

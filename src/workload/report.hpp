@@ -1,12 +1,10 @@
-// Plain-text reporting helpers shared by the benchmark binaries: aligned
-// series tables (throughput / latency rows as the paper's figures) and CDF
-// dumps.
+// Reporting helpers shared by the benchmark binaries: aligned plain-text
+// tables, series CSVs and the JSON sidecars of one experiment run.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "workload/experiment.hpp"
 
 namespace byzcast::workload {
@@ -22,16 +20,8 @@ void print_table(const std::vector<std::string>& columns,
 /// Formats a double with `precision` decimals.
 [[nodiscard]] std::string fmt(double value, int precision = 1);
 
-/// Prints a latency CDF as "latency_ms cumulative_fraction" pairs.
-void print_cdf(const std::string& label, const LatencyRecorder& recorder,
-               std::size_t max_points = 20);
-
-/// Writes a CDF as CSV ("latency_ms,cdf") to `path`, creating parent
-/// directories. Benches use this to emit plottable data under bench_csv/.
-void write_cdf_csv(const std::string& path, const LatencyRecorder& recorder,
-                   std::size_t max_points = 200);
-
-/// Writes a generic series table as CSV to `path`.
+/// Writes a generic series table as CSV to `path`, creating parent
+/// directories.
 void write_series_csv(const std::string& path,
                       const std::vector<std::string>& columns,
                       const std::vector<std::vector<std::string>>& rows);

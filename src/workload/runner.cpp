@@ -1,5 +1,8 @@
 #include "workload/runner.hpp"
 
+#include <cmath>
+#include <utility>
+
 namespace byzcast::workload {
 
 namespace {
@@ -22,35 +25,89 @@ Json breakdown_to_json(const ClassBreakdown& b) {
   return j;
 }
 
+/// Sets `c`'s members on `j`. A class that completed nothing in the window
+/// carries its n and throughput only, unless `always`.
+void set_latency(Json& j, const ClassLatency& c, bool always) {
+  j.set("n", Json::number(c.n));
+  j.set("throughput", Json::number(c.throughput));
+  if (c.n == 0 && !always) return;
+  for (const auto& [name, member] : kLatencyFields) {
+    j.set(std::string(name) + "_ms", Json::number(c.*member));
+  }
+  Json cdf = Json::array();
+  for (const auto& [ms, fraction] : c.cdf) {
+    Json step = Json::array();
+    step.push_back(Json::number(ms));
+    step.push_back(Json::number(fraction));
+    cdf.push_back(std::move(step));
+  }
+  j.set("cdf", std::move(cdf));
+}
+
 Json point_to_json(const SweepPoint& pt) {
   Json j = Json::object();
   j.set("offered", Json::number(pt.offered));
-  j.set("throughput", Json::number(pt.throughput));
+  // The all-message numbers are the point's own members, present even for
+  // an empty window.
+  set_latency(j, pt.all, /*always=*/true);
   j.set("goodput_ratio", Json::number(pt.goodput_ratio));
-  j.set("p50_ms", Json::number(pt.p50_ms));
-  j.set("p99_ms", Json::number(pt.p99_ms));
   j.set("completed", Json::number(pt.completed));
+  j.set("a_deliveries", Json::number(pt.a_deliveries));
   j.set("monitor_violations", Json::number(pt.monitor_violations));
   j.set("sample_overflow", Json::number(pt.sample_overflow));
   j.set("saturated", Json::boolean(pt.saturated));
+  for (const bool global : {false, true}) {
+    Json cls = Json::object();
+    set_latency(cls, global ? pt.global : pt.local, /*always=*/false);
+    j.set(global ? "global" : "local", std::move(cls));
+  }
   if (pt.traced) {
     Json breakdown = Json::object();
-    breakdown.set("local", breakdown_to_json(pt.local));
-    breakdown.set("global", breakdown_to_json(pt.global));
+    breakdown.set("local", breakdown_to_json(pt.local_breakdown));
+    breakdown.set("global", breakdown_to_json(pt.global_breakdown));
     j.set("breakdown", std::move(breakdown));
   }
   return j;
 }
 
-Json curve_to_json(const SweepCurve& curve) {
+Json check_to_json(const BoundCheck& check) {
+  Json j = Json::object();
+  j.set("metric", Json::string(check.bound.metric));
+  j.set("min", Json::number(check.bound.min));
+  if (std::isfinite(check.bound.max)) {
+    j.set("max", Json::number(check.bound.max));
+  }
+  for (const auto& [name, number] : {std::pair{"value", check.value},
+                                     std::pair{"reference", check.reference},
+                                     std::pair{"ratio", check.ratio}}) {
+    if (number) j.set(name, Json::number(*number));
+  }
+  j.set("ok", Json::boolean(check.ok));
+  return j;
+}
+
+Json curve_to_json(const SweepCurve& curve, const ExperimentConfig& config,
+                   const std::vector<BoundCheck>& checks) {
   Json j = Json::object();
   j.set("label", Json::string(curve.label));
+  j.set("protocol", Json::string(to_string(config.protocol)));
+  j.set("environment", Json::string(to_string(config.environment)));
+  j.set("num_groups", Json::number(config.num_groups));
+  j.set("clients_per_group", Json::number(config.clients_per_group));
+  j.set("pattern", Json::string(to_string(config.workload.pattern)));
   Json points = Json::array();
   for (const SweepPoint& pt : curve.points) points.push_back(point_to_json(pt));
   j.set("points", std::move(points));
   j.set("knee_found", Json::boolean(curve.knee_found));
   if (curve.knee_found) j.set("knee", point_to_json(curve.knee));
   j.set("max_unsaturated_rate", Json::number(curve.max_unsaturated_rate));
+  if (!checks.empty()) {
+    Json expect = Json::array();
+    for (const BoundCheck& check : checks) {
+      expect.push_back(check_to_json(check));
+    }
+    j.set("expect", std::move(expect));
+  }
   return j;
 }
 
@@ -60,7 +117,8 @@ WorkloadOutcome run_workload(const WorkloadSpec& spec) {
   WorkloadOutcome outcome;
   outcome.spec = spec;
   const RateSchedule& sched = spec.schedule;
-  for (const CurveSpec& c : curves_of(spec)) {
+  const std::vector<CurveSpec> curves = curves_of(spec);
+  for (const CurveSpec& c : curves) {
     SweepCurve curve;
     curve.label = c.label;
     switch (sched.kind) {
@@ -86,6 +144,10 @@ WorkloadOutcome run_workload(const WorkloadSpec& spec) {
     }
     outcome.curves.push_back(std::move(curve));
   }
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    outcome.checks.push_back(check_bounds(
+        outcome.curves[i], outcome.curves.front(), curves[i].expect));
+  }
   return outcome;
 }
 
@@ -101,9 +163,11 @@ Json outcome_to_json(const WorkloadOutcome& outcome) {
           Json::number(outcome.spec.base.clients_per_group));
   doc.set("payload_size", Json::number(outcome.spec.base.payload_size));
   doc.set("duration_ms", Json::number(to_ms(outcome.spec.base.duration)));
+  const std::vector<CurveSpec> specs = curves_of(outcome.spec);
   Json curves = Json::array();
-  for (const SweepCurve& curve : outcome.curves) {
-    curves.push_back(curve_to_json(curve));
+  for (std::size_t i = 0; i < outcome.curves.size(); ++i) {
+    curves.push_back(curve_to_json(outcome.curves[i], specs[i].config,
+                                   outcome.checks[i]));
   }
   doc.set("curves", std::move(curves));
   return doc;

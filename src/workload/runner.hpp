@@ -1,9 +1,11 @@
 // WorkloadRunner: executes a WorkloadSpec on the simulator harness and
 // returns structured results, one SweepCurve per spec curve: a single
-// measured point for a fixed-rate spec, a point per segment for a step
-// schedule, and the full sweep with its knee for a sweep schedule. Also
-// serializes outcomes to the BENCH_*.json schema ("byzcast-sweep-v1")
-// consumed by tools/check_sweep.py and tools/plot_benches.py.
+// measured point for a fixed-rate spec (rate 0: the closed loop), a point
+// per segment for a step schedule, and the full sweep with its knee for a
+// sweep schedule; then checks every curve's `expect` bounds against the
+// first curve. Also serializes outcomes to the BENCH_*.json schema
+// ("byzcast-sweep-v1") consumed by tools/check_sweep.py and
+// tools/plot_benches.py.
 #pragma once
 
 #include <string>
@@ -19,6 +21,8 @@ struct WorkloadOutcome {
   WorkloadSpec spec;
   /// One per curves_of(spec), in spec order.
   std::vector<SweepCurve> curves;
+  /// One per curve: its `expect` bounds checked against the first curve.
+  std::vector<std::vector<BoundCheck>> checks;
 };
 
 /// Runs the spec to completion on the sim backend (every schedule point is

@@ -82,9 +82,9 @@ class Members {
   }
 
   /// One of `names`, stored as its paired value.
-  template <typename E>
-  void choice(const char* key, E& out,
-              std::initializer_list<std::pair<const char*, E>> names) {
+  template <typename E,
+            typename Names = std::initializer_list<std::pair<const char*, E>>>
+  void choice(const char* key, E& out, const Names& names) {
     const Json* v = take(key);
     if (v == nullptr) return;
     if (!v->is_string()) {
@@ -191,13 +191,7 @@ void read_config(Members& m, ExperimentConfig& cfg) {
   if (const Json* wl = m.nested("workload", Json::Type::kObject,
                                 "an object")) {
     Members w(*wl, m.where() + "workload.");
-    w.choice("pattern", cfg.workload.pattern,
-             {{"local", Pattern::kLocalOnly},
-              {"uniform-pairs", Pattern::kGlobalUniformPairs},
-              {"skewed-pairs", Pattern::kGlobalSkewedPairs},
-              {"mixed", Pattern::kMixed},
-              {"fanout", Pattern::kGlobalFanout},
-              {"zipf", Pattern::kZipf}});
+    w.choice("pattern", cfg.workload.pattern, kPatternNames);
     w.number("zipf_s", cfg.workload.zipf_s, 0.0, 100.0);
     w.integer("global_fanout", cfg.workload.global_fanout, 1, 1024);
     w.integer("mixed_local", cfg.workload.mixed_local, 0, 1'000'000);
@@ -259,21 +253,22 @@ void read_expect(Members& m, const Json& expect, RateSchedule::Kind kind,
                  CurveSpec& curve) {
   for (const auto& [metric, range] : expect.members()) {
     const std::string where = m.where() + "expect." + metric + ".";
-    if (!is_bound_metric(metric)) {
+    const BoundMetric what = bound_metric(metric);
+    if (what == BoundMetric::kUnknown) {
       m.set_error("unknown expect metric: " + metric);
       return;
     }
     // Each metric is defined by one schedule: the knee by a sweep, the
-    // throughput and the traced breakdown by a fixed rate's single point.
+    // point metrics and the traced breakdown by a fixed rate's single point.
     const bool fits = kind == RateSchedule::Kind::kSweep
-                          ? metric == "knee"
+                          ? what == BoundMetric::kKnee
                           : kind == RateSchedule::Kind::kFixed &&
-                                metric != "knee";
+                                what != BoundMetric::kKnee;
     if (!fits) {
       m.set_error("expect metric " + metric + " does not fit the rate kind");
       return;
     }
-    if (metric.find('.') != std::string::npos &&
+    if (what == BoundMetric::kTraced &&
         !(curve.config.span_tracing && curve.config.observability)) {
       m.set_error("expect metric " + metric + " needs span_tracing");
       return;

@@ -22,22 +22,39 @@ ClassBreakdown breakdown_of(const core::ClassAggregate& agg) {
   return b;
 }
 
-/// Splits "<class>.<component>_p50" into its class breakdown and member;
-/// false when `metric` is not of that form.
-bool breakdown_metric(const std::string& metric, bool* global,
-                      double ClassBreakdown::** member) {
+ClassLatency latency_of(const LatencyRecorder& rec, double throughput) {
+  ClassLatency c;
+  c.n = rec.count();
+  c.throughput = throughput;
+  c.mean_ms = rec.mean_ms();
+  c.p50_ms = rec.percentile_ms(50.0);
+  c.p95_ms = rec.percentile_ms(95.0);
+  c.p99_ms = rec.percentile_ms(99.0);
+  c.p999_ms = rec.percentile_ms(99.9);
+  c.max_ms = rec.percentile_ms(100.0);
+  c.cdf = rec.cdf(kCdfPoints);
+  return c;
+}
+
+/// A bound metric name split into its class ("" for all messages, "local",
+/// "global") and the name after the dot.
+struct MetricName {
+  std::string cls;
+  std::string name;
+};
+
+MetricName split_metric(const std::string& metric) {
   const std::size_t dot = metric.find('.');
-  if (dot == std::string::npos) return false;
-  const std::string cls = metric.substr(0, dot);
-  if (cls != "local" && cls != "global") return false;
-  for (const auto& [name, field] : kBreakdownComponents) {
-    if (metric.substr(dot + 1) == std::string(name) + "_p50") {
-      *global = cls == "global";
-      *member = field;
-      return true;
-    }
+  if (dot == std::string::npos) return {"", metric};
+  return {metric.substr(0, dot), metric.substr(dot + 1)};
+}
+
+/// The breakdown member a "<component>_p50" name reads, or null.
+double ClassBreakdown::*component_of(const std::string& name) {
+  for (const auto& [component, member] : kBreakdownComponents) {
+    if (name == std::string(component) + "_p50") return member;
   }
-  return false;
+  return nullptr;
 }
 
 std::uint64_t sum_monitor_violations(const ExperimentResult& result) {
@@ -52,19 +69,27 @@ std::uint64_t sum_monitor_violations(const ExperimentResult& result) {
 /// The metric's value on `curve`; nullopt when the curve does not define it.
 std::optional<double> curve_metric(const SweepCurve& curve,
                                    const std::string& metric) {
-  if (metric == "knee") {
+  const BoundMetric kind = bound_metric(metric);
+  if (kind == BoundMetric::kKnee) {
     if (!curve.knee_found) return std::nullopt;
     return curve.knee.offered;
   }
-  if (curve.points.empty()) return std::nullopt;
+  if (kind == BoundMetric::kUnknown || curve.points.empty()) {
+    return std::nullopt;
+  }
   const SweepPoint& pt = curve.points.front();
-  if (metric == "throughput") return pt.throughput;
-  bool global = false;
-  double ClassBreakdown::*member = nullptr;
-  if (!breakdown_metric(metric, &global, &member)) return std::nullopt;
-  const ClassBreakdown& b = global ? pt.global : pt.local;
-  if (!pt.traced || b.n == 0) return std::nullopt;
-  return b.*member;
+  if (metric == "throughput") return pt.all.throughput;
+  const auto [cls, name] = split_metric(metric);
+  if (kind == BoundMetric::kTraced) {
+    const ClassBreakdown& b =
+        cls == "global" ? pt.global_breakdown : pt.local_breakdown;
+    if (!pt.traced || b.n == 0) return std::nullopt;
+    return b.*component_of(name);
+  }
+  const ClassLatency& c =
+      cls.empty() ? pt.all : cls == "global" ? pt.global : pt.local;
+  if (c.n == 0) return std::nullopt;
+  return name == "p50" ? c.p50_ms : c.p99_ms;
 }
 
 }  // namespace
@@ -74,10 +99,10 @@ void classify_saturation(std::vector<SweepPoint>& points, double p99_factor,
   if (points.empty()) return;
   // The plateau is the service latency floor: the lowest offered rate's
   // p99, i.e. what the system delivers when queueing is negligible.
-  const double plateau_p99 = points.front().p99_ms;
+  const double plateau_p99 = points.front().all.p99_ms;
   for (SweepPoint& pt : points) {
     const bool latency_blown =
-        plateau_p99 > 0.0 && pt.p99_ms > p99_factor * plateau_p99;
+        plateau_p99 > 0.0 && pt.all.p99_ms > p99_factor * plateau_p99;
     const bool goodput_short = pt.goodput_ratio < goodput_floor;
     // A point that completed nothing at all is trivially saturated (or the
     // run was misconfigured); either way it is not a sustainable rate.
@@ -98,11 +123,12 @@ SweepPoint measure_point(const ExperimentConfig& base, double rate) {
   const ExperimentResult result = run_experiment(config);
   SweepPoint pt;
   pt.offered = rate;
-  pt.throughput = result.throughput;
+  pt.all = latency_of(result.latency_all, result.throughput);
+  pt.local = latency_of(result.latency_local, result.throughput_local);
+  pt.global = latency_of(result.latency_global, result.throughput_global);
   pt.goodput_ratio = rate > 0.0 ? result.throughput / rate : 0.0;
-  pt.p50_ms = result.latency_all.percentile_ms(50.0);
-  pt.p99_ms = result.latency_all.percentile_ms(99.0);
   pt.completed = result.completed;
+  pt.a_deliveries = result.a_deliveries;
   pt.monitor_violations = sum_monitor_violations(result);
   pt.sample_overflow = result.latency_all.overflow() +
                        result.latency_local.overflow() +
@@ -111,8 +137,8 @@ SweepPoint measure_point(const ExperimentConfig& base, double rate) {
     const core::CriticalPathAnalyzer analyzer(
         *result.spans, core::CriticalPathAnalyzer::Options{config.f});
     pt.traced = true;
-    pt.local = breakdown_of(analyzer.aggregate(/*global=*/false));
-    pt.global = breakdown_of(analyzer.aggregate(/*global=*/true));
+    pt.local_breakdown = breakdown_of(analyzer.aggregate(/*global=*/false));
+    pt.global_breakdown = breakdown_of(analyzer.aggregate(/*global=*/true));
   }
   return pt;
 }
@@ -179,11 +205,15 @@ SweepCurve run_sweep(const ExperimentConfig& base,
   return curve;
 }
 
-bool is_bound_metric(const std::string& metric) {
-  bool global = false;
-  double ClassBreakdown::*member = nullptr;
-  return metric == "knee" || metric == "throughput" ||
-         breakdown_metric(metric, &global, &member);
+BoundMetric bound_metric(const std::string& metric) {
+  if (metric == "knee") return BoundMetric::kKnee;
+  if (metric == "throughput") return BoundMetric::kPoint;
+  const auto [cls, name] = split_metric(metric);
+  const bool is_class = cls == "local" || cls == "global";
+  if (!cls.empty() && !is_class) return BoundMetric::kUnknown;
+  if (name == "p50" || name == "p99") return BoundMetric::kPoint;
+  if (is_class && component_of(name) != nullptr) return BoundMetric::kTraced;
+  return BoundMetric::kUnknown;
 }
 
 std::vector<BoundCheck> check_bounds(const SweepCurve& curve,
@@ -191,22 +221,24 @@ std::vector<BoundCheck> check_bounds(const SweepCurve& curve,
                                      const std::vector<RatioBound>& bounds) {
   std::vector<BoundCheck> checks;
   for (const RatioBound& bound : bounds) {
-    const std::optional<double> value = curve_metric(curve, bound.metric);
-    const std::optional<double> ref = curve_metric(reference, bound.metric);
-    char text[256];
     BoundCheck check;
-    if (!value || !ref || *ref == 0.0) {
+    check.bound = bound;
+    check.value = curve_metric(curve, bound.metric);
+    check.reference = curve_metric(reference, bound.metric);
+    char text[256];
+    if (!check.value || !check.reference || *check.reference == 0.0) {
       std::snprintf(text, sizeof text, "%s: %s undefined on %s",
                     curve.label.c_str(), bound.metric.c_str(),
-                    !value ? curve.label.c_str() : reference.label.c_str());
+                    !check.value ? curve.label.c_str()
+                                 : reference.label.c_str());
     } else {
-      const double ratio = *value / *ref;
-      check.ok = ratio >= bound.min && ratio <= bound.max;
+      check.ratio = *check.value / *check.reference;
+      check.ok = *check.ratio >= bound.min && *check.ratio <= bound.max;
       std::snprintf(text, sizeof text,
                     "%s: %s %g / %s %g = %.3f, bound [%g, %g]",
-                    curve.label.c_str(), bound.metric.c_str(), *value,
-                    reference.label.c_str(), *ref, ratio, bound.min,
-                    bound.max);
+                    curve.label.c_str(), bound.metric.c_str(), *check.value,
+                    reference.label.c_str(), *check.reference, *check.ratio,
+                    bound.min, bound.max);
     }
     check.text = text;
     checks.push_back(std::move(check));

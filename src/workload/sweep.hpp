@@ -5,12 +5,15 @@
 // refines it by bisection between the last healthy and first saturated grid
 // points. The knee is the paper-style "maximum sustainable throughput"
 // number that closed-loop sweeps only bracket by guessing client counts.
-// Curves are compared by ratio bounds (a spec's `expect`), checked here on
-// measured or synthetic curves alike.
+// Every measured point (open or closed loop) carries the latency and
+// throughput of all messages and of each class. Curves are compared by
+// ratio bounds (a spec's `expect`, e.g. the paper's figure shapes), checked
+// here on measured or synthetic curves alike.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,22 +45,50 @@ inline constexpr std::pair<const char*, double ClassBreakdown::*>
         {"quorum_wait", &ClassBreakdown::quorum_wait_p50_ms},
 };
 
+/// Latency and completion rate of one message class, or of all messages,
+/// over a point's measurement window (the run's untraced recorders).
+struct ClassLatency {
+  std::uint64_t n = 0;      // completions recorded after warm-up
+  double throughput = 0.0;  // msg/s completed in the window
+  double mean_ms = 0.0;
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+  double p999_ms = 0.0;
+  double max_ms = 0.0;
+  /// (latency_ms, cumulative fraction), LatencyRecorder::cdf(kCdfPoints).
+  std::vector<std::pair<double, double>> cdf;
+};
+
+/// CDF resolution of a point's classes (the paper's CDF figures' steps).
+inline constexpr std::size_t kCdfPoints = 20;
+
+/// Latency names as they appear in artifacts ("<name>_ms"). Bounds read
+/// "p50" and "p99" only.
+inline constexpr std::pair<const char*, double ClassLatency::*>
+    kLatencyFields[] = {
+        {"mean", &ClassLatency::mean_ms}, {"p50", &ClassLatency::p50_ms},
+        {"p95", &ClassLatency::p95_ms},   {"p99", &ClassLatency::p99_ms},
+        {"p999", &ClassLatency::p999_ms}, {"max", &ClassLatency::max_ms},
+};
+
 /// One measured point of a sweep curve.
 struct SweepPoint {
-  double offered = 0.0;        // msg/s offered (open-loop total rate)
-  double throughput = 0.0;     // msg/s completed in the window
-  double goodput_ratio = 0.0;  // throughput / offered
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  std::uint64_t completed = 0;
+  double offered = 0.0;        // msg/s offered (open loop); 0 = closed loop
+  double goodput_ratio = 0.0;  // all.throughput / offered (0: closed loop)
+  ClassLatency all;
+  ClassLatency local;
+  ClassLatency global;
+  std::uint64_t completed = 0;     // whole run, warm-up included
+  std::uint64_t a_deliveries = 0;  // replica a-delivery events in the window
   std::uint64_t monitor_violations = 0;
   std::uint64_t sample_overflow = 0;  // recorder/meter caps hit (should be 0)
   bool saturated = false;
   /// Latency breakdown per class; filled only when the run had span_tracing
   /// on.
   bool traced = false;
-  ClassBreakdown local;
-  ClassBreakdown global;
+  ClassBreakdown local_breakdown;
+  ClassBreakdown global_breakdown;
 };
 
 struct SweepSettings {
@@ -109,19 +140,29 @@ struct RatioBound {
   double max = std::numeric_limits<double>::infinity();
 };
 
-/// True for the metric names a bound may use: "knee" (the knee's offered
-/// rate), "throughput" (the first point's) and "<local|global>.<component>
-/// _p50" (the first point's breakdown, components as kBreakdownComponents).
-[[nodiscard]] bool is_bound_metric(const std::string& metric);
+/// What a bound metric reads: "knee" (the knee's offered rate), a point
+/// metric of the curve's first point — "throughput", "p50" and "p99" (all
+/// messages), "<local|global>.p50" and ".p99" (the class's untraced
+/// recorder) — or a traced one, "<local|global>.<component>_p50" (the
+/// first point's breakdown, components as kBreakdownComponents).
+enum class BoundMetric { kUnknown, kKnee, kPoint, kTraced };
 
+[[nodiscard]] BoundMetric bound_metric(const std::string& metric);
+
+/// One bound evaluated on a curve against the reference curve. `value` and
+/// `reference` are unset when a curve lacks the metric (no knee, no points,
+/// no message of that class or no traced one), and `ratio` also when the
+/// reference value is 0; a bound without a ratio fails.
 struct BoundCheck {
+  RatioBound bound;
+  std::optional<double> value;
+  std::optional<double> reference;
+  std::optional<double> ratio;
   bool ok = false;
   std::string text;  // "<label>: <metric> ratio ..." for the report
 };
 
-/// Checks each bound of `curve` against `reference`. A bound fails when
-/// either curve lacks the metric (no knee, no points, or no complete traced
-/// message of that class) or the reference's value is 0.
+/// Checks each bound of `curve` against `reference`.
 [[nodiscard]] std::vector<BoundCheck> check_bounds(
     const SweepCurve& curve, const SweepCurve& reference,
     const std::vector<RatioBound>& bounds);

@@ -98,7 +98,6 @@ TEST(LatencyRecorder, CachedPercentilesMatchFreshAfterInterleavedRecords) {
           << "round " << round << " p" << p;
     }
     EXPECT_DOUBLE_EQ(cached.mean_ms(), fresh.mean_ms()) << "round " << round;
-    EXPECT_EQ(cached.summary(), fresh.summary()) << "round " << round;
   }
 }
 

@@ -34,32 +34,6 @@ TEST(Report, HeaderFormat) {
   EXPECT_EQ(out, "\n== Figure 42 ==\n");
 }
 
-TEST(Report, CdfPrintsPoints) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 10; ++i) rec.record(i, i * kMillisecond);
-  ::testing::internal::CaptureStdout();
-  print_cdf("test", rec, 5);
-  const std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(out.find("test latency CDF (n=10):"), std::string::npos);
-  EXPECT_NE(out.find("1.000"), std::string::npos);  // reaches CDF 1.0
-}
-
-TEST(Report, CdfCsvWritesFile) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 20; ++i) rec.record(i, i * kMillisecond);
-  const std::string path = ::testing::TempDir() + "bzc_cdf_test.csv";
-  write_cdf_csv(path, rec, 10);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "latency_ms,cdf");
-  int lines = 0;
-  std::string line;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_GT(lines, 5);
-}
-
 TEST(Report, MetricsSidecarWritesObservabilityJson) {
   ExperimentConfig cfg;
   cfg.protocol = Protocol::kByzCast2Level;

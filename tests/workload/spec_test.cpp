@@ -155,6 +155,27 @@ TEST(WorkloadSpec, ParsesBatchingAndTracingKnobs) {
   EXPECT_DOUBLE_EQ(spec->curves[1].expect[1].max, 1.0);
 }
 
+TEST(WorkloadSpec, LatencyBoundsReadTheUntracedRecorders) {
+  const auto spec = parse(R"({
+    "name": "closed-loop",
+    "rate": {"kind": "fixed", "value": 0},
+    "curves": [
+      {"label": "local"},
+      {"label": "global", "workload": {"pattern": "uniform-pairs"},
+       "expect": {"p50": {"min": 1.8, "max": 2.2},
+                  "global.p99": {"max": 3}, "local.p50": {"min": 0.5}}}
+    ]
+  })");
+  ASSERT_TRUE(spec.has_value());  // no span_tracing needed
+  EXPECT_DOUBLE_EQ(spec->schedule.fixed_rate, 0.0);
+  ASSERT_EQ(spec->curves[1].expect.size(), 3u);
+  EXPECT_EQ(spec->curves[1].expect[0].metric, "p50");
+  EXPECT_DOUBLE_EQ(spec->curves[1].expect[0].min, 1.8);
+  EXPECT_DOUBLE_EQ(spec->curves[1].expect[0].max, 2.2);
+  EXPECT_EQ(spec->curves[1].expect[1].metric, "global.p99");
+  EXPECT_EQ(spec->curves[1].expect[2].metric, "local.p50");
+}
+
 TEST(WorkloadSpec, ParsesZipfWorkloadAndLocalShare) {
   const auto spec = parse(R"({
     "name": "zipf",
@@ -250,6 +271,18 @@ TEST(WorkloadSpec, RejectsBadDocuments) {
                       {"label": "b",
                        "expect": {"local.cpu_p50": {"max": 1}}}]})",
        "breakdown bound without span tracing"},
+      {R"({"name": "x", "curves": [{"label": "a"},
+                                   {"label": "b",
+                                    "expect": {"remote.p50": {"max": 1}}}]})",
+       "unknown latency class"},
+      {R"({"name": "x", "curves": [{"label": "a"},
+                                   {"label": "b",
+                                    "expect": {"local.p95": {"max": 1}}}]})",
+       "unknown latency percentile"},
+      {R"({"name": "x", "rate": {"kind": "sweep", "rates": [1, 2]},
+           "curves": [{"label": "a"},
+                      {"label": "b", "expect": {"p99": {"max": 1}}}]})",
+       "latency bound in sweep mode"},
       {R"({"name": "x", "rate": {"kind": "sweep", "rates": [1, 2]},
            "curves": [{"label": "a", "expect": {"knee": {"max": 1}}}]})",
        "bound on the reference curve"},

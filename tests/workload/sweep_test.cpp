@@ -8,6 +8,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/runner.hpp"
@@ -18,11 +19,12 @@ namespace {
 SweepPoint point(double offered, double p99_ms, double goodput) {
   SweepPoint p;
   p.offered = offered;
-  p.throughput = offered * goodput;
+  p.all.throughput = offered * goodput;
   p.goodput_ratio = goodput;
-  p.p50_ms = p99_ms / 2;
-  p.p99_ms = p99_ms;
+  p.all.p50_ms = p99_ms / 2;
+  p.all.p99_ms = p99_ms;
   p.completed = static_cast<std::uint64_t>(offered * goodput);
+  p.all.n = p.completed;
   return p;
 }
 
@@ -87,10 +89,10 @@ TEST(Sweep, MeasurePointFillsTheFullRecord) {
   const SweepPoint p = measure_point(cfg, 500.0);
   EXPECT_DOUBLE_EQ(p.offered, 500.0);
   EXPECT_GT(p.completed, 0u);
-  EXPECT_GT(p.throughput, 0.0);
+  EXPECT_GT(p.all.throughput, 0.0);
   EXPECT_GT(p.goodput_ratio, 0.9);  // 500/s on a LAN is far from saturation
-  EXPECT_GT(p.p99_ms, 0.0);
-  EXPECT_GE(p.p99_ms, p.p50_ms);
+  EXPECT_GT(p.all.p99_ms, 0.0);
+  EXPECT_GE(p.all.p99_ms, p.all.p50_ms);
   EXPECT_EQ(p.sample_overflow, 0u);
 }
 
@@ -121,8 +123,8 @@ SweepCurve bounded_curve(const std::string& label, double knee,
   c.knee = point(knee, 10, 1.0);
   SweepPoint pt = point(throughput, 10, 1.0);
   pt.traced = true;
-  pt.global.n = 5;
-  pt.global.queueing_p50_ms = queueing_ms;
+  pt.global_breakdown.n = 5;
+  pt.global_breakdown.queueing_p50_ms = queueing_ms;
   c.points = {pt};
   return c;
 }
@@ -168,7 +170,7 @@ TEST(SweepBounds, MissingMetricFailsEvenAnOpenBound) {
 
   // A breakdown bound fails when either side traced no message of the class.
   SweepCurve untraced_class = bounded_curve("cur", 1000, 1000, 5.0);
-  untraced_class.points[0].global.n = 0;
+  untraced_class.points[0].global_breakdown.n = 0;
   EXPECT_FALSE(holds(untraced_class, ref, any_queueing));
   EXPECT_FALSE(holds(ref, untraced_class, any_queueing));
   EXPECT_FALSE(holds(ref, ref, {"local.queueing_p50", 0.0, kInf}));  // n = 0
@@ -188,17 +190,79 @@ TEST(SweepBounds, MissingMetricFailsEvenAnOpenBound) {
   EXPECT_FALSE(holds(ref, idle, {"throughput", 0.0, kInf}));
 }
 
+/// A single-point curve with the given (p50, p99) over all messages and per
+/// class, ten messages of each class.
+SweepCurve latency_curve(const std::string& label,
+                         std::pair<double, double> all,
+                         std::pair<double, double> local,
+                         std::pair<double, double> global) {
+  SweepPoint pt = point(1000, all.second, 1.0);
+  pt.all.n = 20;
+  pt.all.p50_ms = all.first;
+  for (auto [cls, p50_p99] : {std::pair{&pt.local, local},
+                              std::pair{&pt.global, global}}) {
+    cls->n = 10;
+    cls->p50_ms = p50_p99.first;
+    cls->p99_ms = p50_p99.second;
+  }
+  SweepCurve c;
+  c.label = label;
+  c.points = {pt};
+  return c;
+}
+
+TEST(SweepBounds, LatencyBoundsHoldOnOneSideOfTheirThresholdOnly) {
+  const SweepCurve ref = latency_curve("ref", {10, 20}, {4, 8}, {20, 40});
+  const SweepCurve cur = latency_curve("cur", {20, 40}, {2, 2}, {30, 60});
+  const struct {
+    const char* metric;
+    double ratio;  // cur / ref
+  } cases[] = {{"p50", 2.0},        {"p99", 2.0},        {"local.p50", 0.5},
+               {"local.p99", 0.25}, {"global.p50", 1.5}, {"global.p99", 1.5}};
+  for (const auto& c : cases) {
+    EXPECT_TRUE(holds(cur, ref, {c.metric, c.ratio, kInf})) << c.metric;
+    EXPECT_FALSE(holds(cur, ref, {c.metric, c.ratio * 1.01, kInf}))
+        << c.metric;
+    EXPECT_TRUE(holds(cur, ref, {c.metric, 0.0, c.ratio})) << c.metric;
+    EXPECT_FALSE(holds(cur, ref, {c.metric, 0.0, c.ratio * 0.99}))
+        << c.metric;
+  }
+}
+
+TEST(SweepBounds, ClassWithoutMessagesFailsEvenAnOpenBound) {
+  const SweepCurve mixed = latency_curve("mixed", {5, 20}, {4, 8}, {9, 20});
+  // A local-only curve: its global class is empty, its stale numbers unread.
+  SweepCurve local_only = latency_curve("local", {4, 8}, {4, 8}, {9, 20});
+  local_only.points[0].global.n = 0;
+  for (const char* metric : {"global.p50", "global.p99"}) {
+    EXPECT_FALSE(holds(local_only, mixed, {metric, 0.0, kInf})) << metric;
+    EXPECT_FALSE(holds(mixed, local_only, {metric, 0.0, kInf})) << metric;
+  }
+  EXPECT_TRUE(holds(local_only, mixed, {"local.p50", 0.0, kInf}));
+
+  SweepCurve idle = latency_curve("idle", {5, 20}, {4, 8}, {9, 20});
+  idle.points[0].all.n = 0;
+  EXPECT_FALSE(holds(idle, mixed, {"p50", 0.0, kInf}));
+  EXPECT_FALSE(holds(mixed, idle, {"p99", 0.0, kInf}));
+}
+
 TEST(SweepBounds, MetricNames) {
   for (const char* name :
        {"knee", "throughput", "local.cpu_p50", "global.queueing_p50",
         "global.end_to_end_p50", "local.network_p50",
-        "global.quorum_wait_p50"}) {
-    EXPECT_TRUE(is_bound_metric(name)) << name;
+        "global.quorum_wait_p50", "p50", "p99", "local.p50", "local.p99",
+        "global.p50", "global.p99"}) {
+    EXPECT_NE(bound_metric(name), BoundMetric::kUnknown) << name;
   }
-  for (const char* name : {"", "knees", "cpu_p50", "remote.cpu_p50",
-                           "local.cpu", "local.cpu_p99", "local."}) {
-    EXPECT_FALSE(is_bound_metric(name)) << name;
+  for (const char* name :
+       {"", "knees", "cpu_p50", "remote.cpu_p50", "local.cpu",
+        "local.cpu_p99", "local.", "p95", "p999", "max", "mean", "p50_ms",
+        "local.p95", "all.p50", "remote.p50", "global.throughput"}) {
+    EXPECT_EQ(bound_metric(name), BoundMetric::kUnknown) << name;
   }
+  EXPECT_EQ(bound_metric("knee"), BoundMetric::kKnee);
+  EXPECT_EQ(bound_metric("global.p99"), BoundMetric::kPoint);
+  EXPECT_EQ(bound_metric("global.cpu_p50"), BoundMetric::kTraced);
 }
 
 TEST(WorkloadRunner, FixedAndStepRunTheScheduleOncePerCurve) {
@@ -227,9 +291,9 @@ TEST(WorkloadRunner, FixedAndStepRunTheScheduleOncePerCurve) {
     // Traced runs carry the breakdown; local-only traffic has no global
     // class.
     EXPECT_TRUE(pt.traced);
-    EXPECT_GT(pt.local.n, 0u);
-    EXPECT_GT(pt.local.end_to_end_p50_ms, 0.0);
-    EXPECT_EQ(pt.global.n, 0u);
+    EXPECT_GT(pt.local_breakdown.n, 0u);
+    EXPECT_GT(pt.local_breakdown.end_to_end_p50_ms, 0.0);
+    EXPECT_EQ(pt.global_breakdown.n, 0u);
     EXPECT_FALSE(curve.knee_found);
   }
   EXPECT_TRUE(
@@ -246,6 +310,87 @@ TEST(WorkloadRunner, FixedAndStepRunTheScheduleOncePerCurve) {
     ASSERT_EQ(curve.points.size(), 2u);
     EXPECT_DOUBLE_EQ(curve.points[1].offered, 400.0);
   }
+}
+
+TEST(WorkloadRunner, ClosedLoopPointCarriesConsistentPerClassNumbers) {
+  WorkloadSpec spec;
+  spec.name = "closed";
+  spec.base.num_groups = 2;
+  spec.base.clients_per_group = 4;
+  spec.base.workload.pattern = Pattern::kMixed;
+  spec.base.workload.mixed_local = 2;
+  spec.base.workload.mixed_global = 1;
+  spec.base.warmup = 200 * kMillisecond;
+  spec.base.duration = 1 * kSecond;
+  spec.base.seed = 9;
+  ExperimentConfig local_only = spec.base;
+  local_only.workload.pattern = Pattern::kLocalOnly;
+  spec.curves = {CurveSpec{"mixed", spec.base, {}},
+                 CurveSpec{"local", local_only, {}}};
+  // The default schedule: fixed rate 0, the closed loop.
+  const WorkloadOutcome outcome = run_workload(spec);
+  ASSERT_EQ(outcome.curves.size(), 2u);
+  ASSERT_EQ(outcome.curves[0].points.size(), 1u);
+  const SweepPoint& pt = outcome.curves[0].points.front();
+  EXPECT_EQ(pt.offered, 0.0);
+  EXPECT_EQ(pt.goodput_ratio, 0.0);
+  EXPECT_GT(pt.local.n, 0u);
+  EXPECT_GT(pt.global.n, 0u);
+  EXPECT_EQ(pt.local.n + pt.global.n, pt.all.n);
+
+  // The point reads the recorders of the same deterministic run.
+  const ExperimentResult result = run_experiment(spec.base);
+  EXPECT_EQ(pt.completed, result.completed);
+  EXPECT_EQ(pt.a_deliveries, result.a_deliveries);
+  EXPECT_GT(pt.a_deliveries, 0u);
+  const struct {
+    const ClassLatency* cls;
+    const LatencyRecorder* rec;
+    double throughput;
+  } classes[] = {
+      {&pt.all, &result.latency_all, result.throughput},
+      {&pt.local, &result.latency_local, result.throughput_local},
+      {&pt.global, &result.latency_global, result.throughput_global},
+  };
+  for (const auto& [cls, rec, throughput] : classes) {
+    EXPECT_EQ(cls->n, rec->count());
+    EXPECT_DOUBLE_EQ(cls->throughput, throughput);
+    EXPECT_DOUBLE_EQ(cls->mean_ms, rec->mean_ms());
+    EXPECT_DOUBLE_EQ(cls->p50_ms, rec->percentile_ms(50));
+    EXPECT_DOUBLE_EQ(cls->p95_ms, rec->percentile_ms(95));
+    EXPECT_DOUBLE_EQ(cls->p99_ms, rec->percentile_ms(99));
+    EXPECT_DOUBLE_EQ(cls->p999_ms, rec->percentile_ms(99.9));
+    EXPECT_DOUBLE_EQ(cls->max_ms, rec->percentile_ms(100));
+    EXPECT_EQ(cls->cdf, rec->cdf(kCdfPoints));
+
+    EXPECT_LE(cls->p50_ms, cls->p95_ms);
+    EXPECT_LE(cls->p95_ms, cls->p99_ms);
+    EXPECT_LE(cls->p99_ms, cls->p999_ms);
+    EXPECT_LE(cls->p999_ms, cls->max_ms);
+    ASSERT_FALSE(cls->cdf.empty());
+    for (std::size_t i = 1; i < cls->cdf.size(); ++i) {
+      EXPECT_GE(cls->cdf[i].first, cls->cdf[i - 1].first);
+      EXPECT_GT(cls->cdf[i].second, cls->cdf[i - 1].second);
+    }
+    EXPECT_DOUBLE_EQ(cls->cdf.back().first, cls->max_ms);
+    EXPECT_DOUBLE_EQ(cls->cdf.back().second, 1.0);
+  }
+
+  // The artifact names each curve's own config, and an empty class carries
+  // no latency numbers.
+  const Json doc = outcome_to_json(outcome);
+  const Json& mixed = doc.get("curves").at(0);
+  const Json& local = doc.get("curves").at(1);
+  EXPECT_EQ(mixed.get("pattern").as_string(), "mixed");
+  EXPECT_EQ(local.get("pattern").as_string(), "local");
+  EXPECT_EQ(local.get("num_groups").as_int(), 2);
+  const Json& mixed_pt = mixed.get("points").at(0);
+  EXPECT_DOUBLE_EQ(mixed_pt.get("p999_ms").as_double(), pt.all.p999_ms);
+  EXPECT_EQ(mixed_pt.get("global").get("cdf").size(), pt.global.cdf.size());
+  const Json& empty = local.get("points").at(0).get("global");
+  EXPECT_EQ(empty.get("n").as_int(), 0);
+  EXPECT_FALSE(empty.has("p50_ms"));
+  EXPECT_FALSE(empty.has("cdf"));
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Plots the CSV files emitted by the benchmark binaries under bench_csv/.
+"""Summarizes and plots the benchmark outputs.
 
 Usage:
     python3 tools/plot_benches.py [bench_csv_dir] [output_dir]
+        [--require BENCH.json]...
 
-Produces one PNG per CSV: CDFs as step plots, series tables as grouped line
-charts. Also parses the *_metrics.json observability sidecars (summaries,
-per-group a-delivery counters, CPU-busy / queue-depth timeseries) and plots
-the timeseries. Requires matplotlib; degrades to a listing when it is
-missing.
+Reads the bench_sweep artifacts (BENCH_*.json, schema "byzcast-sweep-v1",
+the paper's figures among them), the wall-clock BENCH_*.json files, the
+CSVs and *_metrics.json / *_spans.json sidecars under bench_csv_dir.
+Prints a summary of each; with matplotlib, also draws one PNG per CSV
+(series tables as line charts), the sidecar timeseries, p99-vs-offered or
+throughput per sweep curve, the per-class latency CDFs of fixed-rate
+specs and the stacked latency breakdowns. Degrades to the summaries when
+matplotlib is missing.
 """
 import csv
 import json
@@ -131,10 +135,8 @@ def plot_wire_bench(doc, dst, plt):
     print("wrote", out)
 
 
-def plot_runtime_bench(doc, src, dst, plt):
-    """Wall-clock throughput vs groups, with the simulated LAN scalability
-    curve (fig4) on a twin axis when its CSV is present — shapes compare,
-    absolute units differ (real threads vs calibrated simulation)."""
+def plot_runtime_bench(doc, dst, plt):
+    """Wall-clock throughput vs groups, one line per pattern."""
     configs = doc.get("configs", [])
     series = {}
     for c in configs:
@@ -150,19 +152,6 @@ def plot_runtime_bench(doc, src, dst, plt):
     ax.set_xlabel("target groups")
     ax.set_ylabel("wall-clock msg/s")
     ax.grid(True, alpha=0.3)
-
-    sim_csv = os.path.join(src, "fig4a_local.csv")
-    if os.path.isfile(sim_csv):
-        header, rows = load(sim_csv)
-        if rows and "byzcast" in header:
-            col = header.index("byzcast")
-            xs = [float(r[0]) for r in rows]
-            ys = [float(r[col]) for r in rows]
-            ax2 = ax.twinx()
-            ax2.plot(xs, ys, marker="s", linestyle="--", color="gray",
-                     label="sim local (fig4)")
-            ax2.set_ylabel("simulated msg/s")
-            ax2.legend(fontsize=8, loc="lower right")
     ax.legend(fontsize=8, loc="upper left")
     ax.set_title("runtime backend throughput")
     out = os.path.join(dst, "runtime_throughput_bench.png")
@@ -227,10 +216,9 @@ def find_sweep_docs(src):
 
 def summarize_sweep_bench(name, doc):
     """One bench_sweep artifact: per curve, its knee (sweep) or its single
-    measured point (fixed rate), plus the traced latency breakdown."""
-    print(f"\n{name} (workload '{doc.get('name', '?')}', "
-          f"{doc.get('protocol', '?')} {doc.get('environment', '?')}, "
-          f"{doc.get('num_groups', '?')} group(s)):")
+    measured point (fixed rate) with per-class latency, its `expect`
+    bounds, plus the traced latency breakdown."""
+    print(f"\n{name} (workload '{doc.get('name', '?')}'):")
     for curve in doc.get("curves", []):
         points = curve.get("points", [])
         if curve.get("knee_found") and isinstance(curve.get("knee"), dict):
@@ -240,8 +228,9 @@ def summarize_sweep_bench(name, doc):
                        f"p99 {knee.get('p99_ms', 0):.1f} ms)")
         elif len(points) == 1:
             pt = points[0]
-            verdict = (f"{pt.get('throughput', 0):.0f} msg/s at "
-                       f"{pt.get('offered', 0):.0f} offered "
+            offered = (f"{pt.get('offered', 0):.0f} offered"
+                       if pt.get("offered", 0) > 0 else "closed loop")
+            verdict = (f"{pt.get('throughput', 0):.0f} msg/s, {offered} "
                        f"(p50 {pt.get('p50_ms', 0):.1f} ms, "
                        f"p99 {pt.get('p99_ms', 0):.1f} ms)")
         else:
@@ -249,8 +238,27 @@ def summarize_sweep_bench(name, doc):
                        f"{curve.get('max_unsaturated_rate', 0):.0f} msg/s")
         bad = sum(p.get("monitor_violations", 0) for p in points)
         extra = "" if bad == 0 else f", {bad} MONITOR VIOLATIONS"
-        print(f"  {curve.get('label', '?'):<16} {len(points)} points, "
+        print(f"  {curve.get('label', '?'):<16} {curve.get('protocol', '?')} "
+              f"{curve.get('environment', '?')} "
+              f"{curve.get('num_groups', '?')}x"
+              f"{curve.get('clients_per_group', '?')} "
+              f"{curve.get('pattern', '?')}: {len(points)} points, "
               f"{verdict}{extra}")
+        if len(points) == 1:
+            for cls in ("local", "global"):
+                c = points[0].get(cls, {})
+                if c.get("n"):
+                    print(f"    {cls:<6} n={c['n']} {c.get('throughput', 0):.0f}"
+                          f" msg/s, ms: p50 {c.get('p50_ms', 0):.1f}, "
+                          f"p99 {c.get('p99_ms', 0):.1f}, "
+                          f"p99.9 {c.get('p999_ms', 0):.1f}, "
+                          f"max {c.get('max_ms', 0):.1f}")
+        for bound in curve.get("expect", []):
+            verdict = "ok" if bound.get("ok") else "FAILED"
+            print(f"    expect {bound.get('metric')} ratio "
+                  f"{bound.get('ratio', float('nan')):.3f} in "
+                  f"[{bound.get('min')}, {bound.get('max', 'inf')}]: "
+                  f"{verdict}")
         for pt in points:
             for cls, agg in sorted(pt.get("breakdown", {}).items()):
                 if not agg.get("n"):
@@ -304,6 +312,29 @@ def plot_sweep_bench(name, doc, dst, plt):
     fig.savefig(out, dpi=120)
     plt.close(fig)
     print("wrote", out)
+
+    # Fixed-rate specs: every curve's per-class latency CDF (Figs. 3, 6, 10
+    # are the paper's CDF figures).
+    lines = [(f"{c.get('label', '?')} {cls}", c["points"][0][cls]["cdf"])
+             for c in curves if len(c["points"]) == 1
+             for cls in ("local", "global")
+             if c["points"][0].get(cls, {}).get("cdf")]
+    if lines:
+        fig, ax = plt.subplots(figsize=(6, 4))
+        for label, cdf in lines:
+            ax.step([p[0] for p in cdf], [p[1] for p in cdf], where="post",
+                    label=label)
+        ax.set_xlabel("latency (ms)")
+        ax.set_ylabel("CDF")
+        ax.set_ylim(0, 1.02)
+        ax.set_title(f"{doc.get('name', '?')}: latency CDF per class")
+        ax.legend(fontsize=6)
+        ax.grid(True, alpha=0.3)
+        out = os.path.join(dst, f"{stem}_cdf.png")
+        fig.tight_layout()
+        fig.savefig(out, dpi=120)
+        plt.close(fig)
+        print("wrote", out)
 
     bars = [(f"{c.get('label', '?')}\n{cls}", agg)
             for c in curves
@@ -562,27 +593,19 @@ def main():
         header, rows = load(os.path.join(src, name))
         if not rows:
             continue
+        # Series table: first column is x, numeric columns are lines.
         fig, ax = plt.subplots(figsize=(6, 4))
-        if header[:2] == ["latency_ms", "cdf"]:
-            xs = [float(r[0]) for r in rows]
-            ys = [float(r[1]) for r in rows]
-            ax.step(xs, ys, where="post")
-            ax.set_xlabel("latency (ms)")
-            ax.set_ylabel("CDF")
-            ax.set_ylim(0, 1.02)
-        else:
-            # Series table: first column is x, numeric columns are lines.
-            xs = list(range(len(rows)))
-            ax.set_xticks(xs)
-            ax.set_xticklabels([r[0] for r in rows])
-            for col in range(1, len(header)):
-                try:
-                    ys = [float(str(r[col]).split()[0]) for r in rows]
-                except (ValueError, IndexError):
-                    continue
-                ax.plot(xs, ys, marker="o", label=header[col])
-            ax.set_xlabel(header[0])
-            ax.legend(fontsize=8)
+        xs = list(range(len(rows)))
+        ax.set_xticks(xs)
+        ax.set_xticklabels([r[0] for r in rows])
+        for col in range(1, len(header)):
+            try:
+                ys = [float(str(r[col]).split()[0]) for r in rows]
+            except (ValueError, IndexError):
+                continue
+            ax.plot(xs, ys, marker="o", label=header[col])
+        ax.set_xlabel(header[0])
+        ax.legend(fontsize=8)
         ax.set_title(name.replace(".csv", ""))
         ax.grid(True, alpha=0.3)
         out = os.path.join(dst, name.replace(".csv", ".png"))
@@ -597,7 +620,7 @@ def main():
         plot_span_breakdown(name, doc, dst, plt)
         plot_cluster_hops(name, doc, dst, plt)
     if runtime_bench:
-        plot_runtime_bench(runtime_bench, src, dst, plt)
+        plot_runtime_bench(runtime_bench, dst, plt)
     if wire_bench:
         plot_wire_bench(wire_bench, dst, plt)
     for name, doc in sweep_docs.items():
