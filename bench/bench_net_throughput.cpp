@@ -1,17 +1,18 @@
-// Net backend vs runtime backend on the same workload: the cost of real TCP.
+// The net backend on a small closed-loop workload, untraced and traced.
 //
-// Both backends run the identical 3-target-group tree (root g0 with children
-// g1, g2 — the checked-in deployment shape), f=1, closed-loop clients, 50%
-// global messages. The runtime backend is threads + in-process mailboxes;
-// the net backend is an InProcessCluster — 12 replica processes' worth of
+// Both rows run the same 3-target-group tree (root g0 with children g1, g2 —
+// the checked-in deployment shape), f=1, closed-loop clients, 50% global
+// messages, on an InProcessCluster: 12 replica processes' worth of
 // ClusterNodes plus a client node, each on its own event loop, talking over
-// real localhost sockets. The delta between the two columns is the wire:
-// framing, syscalls, epoll wakeups.
+// real localhost sockets. The throughput delta between the rows is the
+// tracing overhead at 1/64 sampling. Runtime-backend throughput is
+// perfbench's question (perfbench/run.py), not this bench's.
 //
-// Emits BENCH_net.json with both backends' numbers, the net/runtime ratio,
-// and the verdict of the five atomic-multicast property checkers per run (a
-// throughput figure from a run that broke ordering would be meaningless).
-// Exits nonzero on any incomplete workload or property violation.
+// Emits BENCH_net.json with each row's throughput, latency mean and
+// p50/p95/p99/p99.9/max, and the verdict of the five atomic-multicast
+// property checkers per run (a throughput figure from a run that broke
+// ordering would be meaningless). Exits nonzero on any incomplete workload
+// or property violation.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -27,7 +28,6 @@
 #include "core/properties.hpp"
 #include "net/cluster.hpp"
 #include "net/config.hpp"
-#include "runtime/parallel_system.hpp"
 #include "workload/report.hpp"
 
 namespace {
@@ -45,11 +45,14 @@ struct BackendResult {
   double elapsed_ms = 0.0;
   double throughput = 0.0;
   double latency_mean_ms = 0.0;
+  double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
+  double latency_p99_ms = 0.0;
+  double latency_p999_ms = 0.0;
+  double latency_max_ms = 0.0;
   std::uint64_t deliveries = 0;
   bool properties_ok = false;
   std::string properties_error;
-  // net only
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
   std::uint64_t reconnects = 0;
@@ -86,92 +89,6 @@ std::vector<GroupId> pick_dst(Rng& rng) {
     return {GroupId{a}, GroupId{b < a ? b : b + 1}};
   }
   return {GroupId{static_cast<std::int32_t>(rng.next_below(3))}};
-}
-
-BackendResult run_runtime(const net::ClusterConfig& cfg) {
-  runtime::ParallelOptions opts;
-  opts.runtime.seed = cfg.seed;
-  runtime::ParallelSystem system(cfg.tree(), cfg.f, opts);
-
-  std::vector<core::Client*> clients;
-  std::vector<Rng> rngs;
-  for (int c = 0; c < kClients; ++c) {
-    clients.push_back(&system.add_client("client" + std::to_string(c)));
-    rngs.push_back(system.env().fork_rng());
-  }
-
-  const Bytes payload(kPayload, std::uint8_t{0xab});
-  const int total = kClients * kMsgsPerClient;
-  std::vector<int> sent(kClients, 0);
-  std::vector<std::vector<std::vector<GroupId>>> issued(kClients);
-  std::atomic<int> done{0};
-  std::mutex lat_mu;
-  LatencyRecorder latency;
-
-  std::function<void(int)> issue = [&](int c) {
-    auto& count = sent[static_cast<std::size_t>(c)];
-    if (count == kMsgsPerClient) return;
-    ++count;
-    std::vector<GroupId> dst = pick_dst(rngs[static_cast<std::size_t>(c)]);
-    core::MulticastMessage canon;
-    canon.dst = dst;
-    canon.canonicalize();
-    issued[static_cast<std::size_t>(c)].push_back(std::move(canon.dst));
-    clients[static_cast<std::size_t>(c)]->a_multicast(
-        std::move(dst), payload,
-        [&, c](const core::MulticastMessage&, Time lat) {
-          {
-            const std::lock_guard<std::mutex> lock(lat_mu);
-            latency.record(system.env().now(), lat);
-          }
-          done.fetch_add(1);
-          issue(c);
-        });
-  };
-
-  system.start();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int c = 0; c < kClients; ++c) {
-    system.env().run_on(clients[static_cast<std::size_t>(c)]->id(),
-                        [&issue, c] { issue(c); });
-  }
-  const auto deadline = t0 + std::chrono::minutes(5);
-  while (done.load() < total && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  system.stop();
-
-  BackendResult r;
-  r.backend = "runtime";
-  r.completed = done.load();
-  r.elapsed_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.throughput = r.completed / (r.elapsed_ms / 1000.0);
-  r.latency_mean_ms = latency.mean_ms();
-  r.latency_p95_ms = latency.percentile_ms(95);
-  r.deliveries = system.delivery_log().total_deliveries();
-
-  core::PropertyInput in;
-  in.log = &system.delivery_log();
-  for (int c = 0; c < kClients; ++c) {
-    const auto& dsts = issued[static_cast<std::size_t>(c)];
-    for (std::size_t k = 0; k < dsts.size(); ++k) {
-      in.sent.push_back(core::SentMessage{
-          MessageId{clients[static_cast<std::size_t>(c)]->id(),
-                    static_cast<std::uint64_t>(k)},
-          dsts[k]});
-    }
-  }
-  for (int g = 0; g < 3; ++g) {
-    auto& grp = system.system().group(GroupId{g});
-    for (const int i : grp.correct_indices()) {
-      in.correct_replicas[GroupId{g}].push_back(grp.replica(i).id());
-    }
-  }
-  const core::PropertyResult verdict = core::check_all_properties(in);
-  r.properties_ok = verdict.ok;
-  r.properties_error = verdict.error;
-  return r;
 }
 
 /// `trace_sample_every` = 0 runs untraced; N traces every Nth message per
@@ -253,7 +170,11 @@ BackendResult run_net(const net::ClusterConfig& cfg,
   r.elapsed_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.throughput = r.completed / (r.elapsed_ms / 1000.0);
   r.latency_mean_ms = latency.mean_ms();
+  r.latency_p50_ms = latency.percentile_ms(50);
   r.latency_p95_ms = latency.percentile_ms(95);
+  r.latency_p99_ms = latency.percentile_ms(99);
+  r.latency_p999_ms = latency.percentile_ms(99.9);
+  r.latency_max_ms = latency.percentile_ms(100);
   r.deliveries = cluster.total_deliveries();
   // Transport::stats() walks connection tables the loop thread mutates, so
   // read it only once stop() has joined every loop (connections stay).
@@ -286,6 +207,7 @@ BackendResult run_net(const net::ClusterConfig& cfg,
   return r;
 }
 
+/// `results` holds the untraced row, then the traced one.
 void write_bench_json(const std::vector<BackendResult>& results) {
   Json backends = Json::array();
   for (const BackendResult& r : results) {
@@ -295,45 +217,36 @@ void write_bench_json(const std::vector<BackendResult>& results) {
     b.set("elapsed_ms", Json::number(r.elapsed_ms));
     b.set("throughput_msgs_s", Json::number(r.throughput));
     b.set("latency_mean_ms", Json::number(r.latency_mean_ms));
+    b.set("latency_p50_ms", Json::number(r.latency_p50_ms));
     b.set("latency_p95_ms", Json::number(r.latency_p95_ms));
+    b.set("latency_p99_ms", Json::number(r.latency_p99_ms));
+    b.set("latency_p999_ms", Json::number(r.latency_p999_ms));
+    b.set("latency_max_ms", Json::number(r.latency_max_ms));
     b.set("a_deliveries", Json::number(r.deliveries));
     b.set("properties_ok", Json::boolean(r.properties_ok));
     if (!r.properties_ok) {
       b.set("properties_error", Json::string(r.properties_error));
     }
-    if (r.backend != "runtime") {
-      b.set("wire_messages", Json::number(r.wire_messages));
-      b.set("wire_bytes", Json::number(r.wire_bytes));
-      b.set("reconnects", Json::number(r.reconnects));
-    }
+    b.set("wire_messages", Json::number(r.wire_messages));
+    b.set("wire_bytes", Json::number(r.wire_bytes));
+    b.set("reconnects", Json::number(r.reconnects));
     backends.push_back(std::move(b));
   }
   Json doc = Json::object();
-  doc.set("bench", Json::string("net_vs_runtime"));
+  doc.set("bench", Json::string("net"));
   doc.set("groups", Json::number(3));
   doc.set("f", Json::number(1));
   doc.set("clients", Json::number(kClients));
   doc.set("msgs_per_client", Json::number(kMsgsPerClient));
   doc.set("global_fraction", Json::number(kGlobalFraction));
   doc.set("backends", std::move(backends));
-  const auto by_name = [&](const std::string& name) -> const BackendResult* {
-    for (const BackendResult& r : results) {
-      if (r.backend == name) return &r;
-    }
-    return nullptr;
-  };
-  const BackendResult* rt = by_name("runtime");
-  const BackendResult* net = by_name("net");
-  const BackendResult* traced = by_name("net_traced");
-  if (rt != nullptr && net != nullptr && rt->throughput > 0.0) {
-    doc.set("net_vs_runtime_throughput_ratio",
-            Json::number(net->throughput / rt->throughput));
-  }
-  if (net != nullptr && traced != nullptr && net->throughput > 0.0) {
+  const BackendResult& net = results.at(0);
+  const BackendResult& traced = results.at(1);
+  if (net.throughput > 0.0) {
     // < 1.0 means tracing cost throughput; 1 - ratio is the overhead
     // fraction at the default 1/64 sampling.
     doc.set("traced_vs_untraced_throughput_ratio",
-            Json::number(traced->throughput / net->throughput));
+            Json::number(traced.throughput / net.throughput));
   }
   write_json_file("BENCH_net.json", doc);
 }
@@ -343,28 +256,29 @@ void write_bench_json(const std::vector<BackendResult>& results) {
 int main() {
   using workload::fmt;
   workload::print_header(
-      "Net backend (real TCP) vs runtime backend, 3 groups, f=1, mixed");
+      "Net backend (real TCP), untraced and traced, 3 groups, f=1, mixed");
 
   const net::ClusterConfig cfg = cluster_config();
   std::vector<BackendResult> results;
-  results.push_back(run_runtime(cfg));
   results.push_back(run_net(cfg, /*trace_sample_every=*/0, "net"));
   results.push_back(run_net(cfg, /*trace_sample_every=*/64, "net_traced"));
 
   std::vector<std::vector<std::string>> rows;
   for (const BackendResult& r : results) {
     rows.push_back({r.backend, std::to_string(r.completed), fmt(r.throughput, 0),
-                    fmt(r.latency_mean_ms, 2), fmt(r.latency_p95_ms, 2),
+                    fmt(r.latency_mean_ms, 2), fmt(r.latency_p50_ms, 2),
+                    fmt(r.latency_p95_ms, 2), fmt(r.latency_p99_ms, 2),
+                    fmt(r.latency_p999_ms, 2), fmt(r.latency_max_ms, 2),
                     r.properties_ok ? "ok" : "VIOLATED"});
   }
-  workload::print_table(
-      {"backend", "completed", "msgs/s", "mean ms", "p95 ms", "properties"},
-      rows);
-  const BackendResult& nr = results[1];
+  workload::print_table({"backend", "completed", "msgs/s", "mean ms", "p50 ms",
+                         "p95 ms", "p99 ms", "p99.9 ms", "max ms",
+                         "properties"},
+                        rows);
+  const BackendResult& nr = results[0];
   std::printf(
       "\nnet run: %llu wire messages, %.1f MiB on the wire, %llu reconnects. "
-      "Wall-clock numbers are host-dependent; the runtime/net delta is the "
-      "cost of framing + syscalls + epoll.\n",
+      "Wall-clock numbers are host-dependent.\n",
       (unsigned long long)nr.wire_messages,
       static_cast<double>(nr.wire_bytes) / (1024.0 * 1024.0),
       (unsigned long long)nr.reconnects);

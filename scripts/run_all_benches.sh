@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Runs every benchmark binary (the paper's tables, the ablation, the
-# wall-clock benches and the micro-benchmarks), then bench_sweep on every
-# workload spec in configs/workloads/ (BENCH_<spec>.json each): the paper's
-# figures (fig<N>_*.json, destinations_fanout.json), the offered-load
-# sweeps and the pipelining and vertical-scaling curves. Echoes the
-# combined report. Fails loudly: a nonzero bench exit (a spec's failed
-# `expect` bound included) or a missing spec artifact fails the whole run
-# instead of silently shrinking the report.
+# Runs every benchmark binary (the paper's tables, the trace smoke run, the
+# net bench and the micro-benchmarks), then bench_sweep on every workload
+# spec in configs/workloads/ (BENCH_<spec>.json each): the paper's figures
+# (fig<N>_*.json, destinations_fanout.json), the ablations
+# (ablation_*.json), the offered-load sweeps and the pipelining and
+# vertical-scaling curves. Runtime-backend throughput is the repository
+# benchmark's (perfbench/run.py), not this script's. Echoes the combined
+# report. Fails loudly: a nonzero bench exit (a spec's failed `expect`
+# bound included) or a missing spec artifact fails the whole run instead of
+# silently shrinking the report.
 set -u
 BUILD_DIR="${1:-build}"
 SPEC_DIR="$(dirname "$0")/../configs/workloads"

@@ -282,10 +282,7 @@ std::uint64_t Replica::pipeline_depth() const {
   return std::max<std::uint64_t>(1, env().profile().pipeline_depth);
 }
 
-Time Replica::window_delay() const {
-  const auto& pr = env().profile();
-  return pr.batch_timeout > 0 ? pr.batch_timeout : pr.cpu_propose_fixed;
-}
+Time Replica::window_delay() const { return env().profile().batch_timeout; }
 
 void Replica::maybe_start_consensus() {
   if (!is_leader() || !view_active_ || pending_.empty()) return;

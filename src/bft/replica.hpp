@@ -244,7 +244,7 @@ class Replica final : public sim::Actor, public ReplicaContext {
   [[nodiscard]] Batch cut_batch();
   /// Effective pipeline window (>= 1).
   [[nodiscard]] std::uint64_t pipeline_depth() const;
-  /// Assembly-window length: batch_timeout, or cpu_propose_fixed when 0.
+  /// Assembly-window length: Profile::batch_timeout.
   [[nodiscard]] Time window_delay() const;
   /// `digest` is the precomputed digest of the batch's encoded form (from
   /// the wire slice or the leader's own encode); null means compute it here

@@ -247,6 +247,8 @@ void write_load_artifacts(const Args& args, net::ClusterNode& node,
   summary.set("latency_p50_ms", Json::number(latency.percentile_ms(50)));
   summary.set("latency_p95_ms", Json::number(latency.percentile_ms(95)));
   summary.set("latency_p99_ms", Json::number(latency.percentile_ms(99)));
+  summary.set("latency_p999_ms", Json::number(latency.percentile_ms(99.9)));
+  summary.set("latency_max_ms", Json::number(latency.percentile_ms(100)));
   summary.set("bytes_sent",
               Json::number(static_cast<double>(tr.bytes_sent)));
   summary.set("bytes_received",

@@ -125,7 +125,6 @@ void Actor::maybe_drain() {
   inbox_.pop_front();
   msg.svc_start = env_.now();
   const Time cost = service_cost(msg);
-  busy_total_ += cost;
   // The drain continuations are internal deferred work and carry the same
   // alive guard as user timers: teardown with messages still queued leaves
   // only no-op events behind.
@@ -139,7 +138,6 @@ void Actor::maybe_drain() {
           stamp_actor_spans(m);
           const Time extra = extra_busy_;
           extra_busy_ = 0;
-          busy_total_ += extra;
           if (extra > 0) {
             // Stay busy for the CPU consumed while handling (e.g. sends).
             env_.schedule(id_, extra,

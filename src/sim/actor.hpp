@@ -64,11 +64,6 @@ class Actor {
   [[nodiscard]] bool crashed() const { return crashed_; }
 
   // --- observability -------------------------------------------------------
-  /// Messages waiting behind the one currently in service.
-  [[nodiscard]] std::size_t inbox_depth() const { return inbox_.size(); }
-  /// Cumulative CPU time this actor has been busy (service + declared extra
-  /// work). Samplers diff successive readings to get a busy fraction.
-  [[nodiscard]] Time busy_time() const { return busy_total_; }
   /// MAC verifications this actor answered from the Authenticator memo
   /// (always 0 under fast MACs).
   [[nodiscard]] std::uint64_t mac_memo_hits() const {
@@ -168,7 +163,6 @@ class Actor {
   bool draining_ = false;
   bool crashed_ = false;
   Time extra_busy_ = 0;
-  Time busy_total_ = 0;
   /// Simulated verify pool state (empty until the first staged message).
   std::vector<Time> verify_busy_;
   Time verify_frontier_ = 0;

@@ -25,10 +25,6 @@ struct Profile {
   // --- replica CPU -------------------------------------------------------
   /// Verifying + admitting one client request (MAC check, digest, queueing).
   Time cpu_request_admission = 8 * kMicrosecond;
-  /// Leader work to assemble and sign a PROPOSE, independent of batch size
-  /// (modeled as a real delay before the proposal goes out, which doubles
-  /// as the batching window).
-  Time cpu_propose_fixed = 1600 * kMicrosecond;
   /// Leader work per request included in a PROPOSE batch.
   Time cpu_propose_per_msg = 5 * kMicrosecond;
   /// Replica work to validate a PROPOSE (batch digest + MAC), fixed part.
@@ -79,10 +75,12 @@ struct Profile {
   /// WRITE/ACCEPT rounds of earlier instances. Decisions always apply in
   /// instance order regardless of depth.
   std::uint32_t pipeline_depth = 4;
-  /// Upper bound on how long the leader's assembly window waits before
-  /// cutting a partial batch (BFT-SMaRt's batchTimeoutMS). 0 = use
-  /// cpu_propose_fixed as the window, the original behaviour.
-  Time batch_timeout = 0;
+  /// The leader's batch assembly window (BFT-SMaRt's batchTimeoutMS): a
+  /// real delay before each proposal goes out, so requests arriving
+  /// meanwhile ride the same instance. A backlog that fills the adaptive
+  /// batch target cuts the window early and charges its rest as leader CPU.
+  /// 0 proposes as soon as a request is pending.
+  Time batch_timeout = 1600 * kMicrosecond;
   /// Use the keyed fast MAC instead of HMAC-SHA256 for wire authentication.
   /// Does not change any *simulated* cost (crypto CPU is part of the
   /// constants above); cuts the host-side wall-clock of large benchmark
@@ -121,7 +119,8 @@ struct Profile {
 
   /// Wall-clock preset for the runtime backend: every cpu_* / net_* cost is
   /// zero because real threads spend real CPU and the ThreadNetwork adds any
-  /// injected latency itself. Only the protocol knobs remain meaningful.
+  /// injected latency itself, and the assembly window is 0. Only the
+  /// protocol knobs remain meaningful.
   /// Fast MACs make a 100-byte sign + verify about 3x cheaper than HMAC on
   /// the SHA-NI SHA-256 kernel and 20x on the portable one (bench_micro);
   /// the repository benchmark turns them off to pay the real HMAC cost.
@@ -131,7 +130,6 @@ struct Profile {
     p.net_jitter_mean = 0;
     p.net_per_byte = 0;
     p.cpu_request_admission = 0;
-    p.cpu_propose_fixed = 0;
     p.cpu_propose_per_msg = 0;
     p.cpu_validate_fixed = 0;
     p.cpu_validate_per_msg = 0;
@@ -144,6 +142,7 @@ struct Profile {
     p.cpu_verify_propose_fixed = 0;
     p.cpu_verify_per_msg = 0;
     p.cpu_verify_vote = 0;
+    p.batch_timeout = 0;
     p.fast_macs = true;
     p.leader_timeout = 2 * kSecond;
     return p;

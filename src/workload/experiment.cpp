@@ -8,7 +8,6 @@
 #include "bft/group.hpp"
 #include "common/contracts.hpp"
 #include "core/system.hpp"
-#include "sim/sampler.hpp"
 #include "sim/simulation.hpp"
 #include "workload/rate.hpp"
 
@@ -39,7 +38,6 @@ std::vector<GroupId> make_target_ids(int n) {
 
 /// Measurement sinks shared by all clients of a run.
 struct Sinks {
-  Time warmup_cutoff = 0;
   Time stop_issuing = 0;
   ExperimentResult* result = nullptr;
   ThroughputMeter all, local, global;
@@ -168,34 +166,6 @@ void assign_group_regions(sim::WanLatency& wan,
   }
 }
 
-std::string replica_label(GroupId g, int index) {
-  return to_string(g) + ".r" + std::to_string(index);
-}
-
-/// Per-group a-delivery counters restricted to the measurement window, and
-/// per-replica protocol counters, pulled into the registry after the run.
-void export_run_counters(MetricsRegistry& reg, core::ByzCastSystem& sys,
-                         Time warmup, Time horizon) {
-  for (const auto& rec : sys.delivery_log().records()) {
-    if (rec.when >= warmup && rec.when < horizon) {
-      reg.counter("group.a_deliveries." + to_string(rec.group)).inc();
-    }
-  }
-  for (const auto& [gid, info] : sys.registry()) {
-    auto& grp = sys.group(gid);
-    for (int i = 0; i < grp.n(); ++i) {
-      const auto& rep = grp.replica(i);
-      const std::string label = replica_label(gid, i);
-      reg.counter("replica.executed." + label).inc(rep.executed_requests());
-      reg.counter("replica.decided." + label).inc(rep.decided_instances());
-      reg.counter("replica.mac_memo_hits." + label).inc(rep.mac_memo_hits());
-      reg.gauge("replica.cpu_busy_mean." + label)
-          .set(static_cast<double>(rep.busy_time()) /
-               static_cast<double>(horizon));
-    }
-  }
-}
-
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
@@ -230,7 +200,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   ExperimentResult result;
   Sinks sinks;
-  sinks.warmup_cutoff = config.warmup;
   sinks.stop_issuing = config.warmup + config.duration;
   sinks.result = &result;
   result.latency_all.set_warmup(config.warmup);
@@ -263,26 +232,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   Observability obs;
-  std::unique_ptr<sim::MetricsSampler> sampler;
-  if (config.observability) {
-    result.metrics = std::make_shared<MetricsRegistry>();
-    obs.metrics = result.metrics.get();
-    if (config.span_tracing) {
-      result.spans = std::make_shared<SpanLog>(config.span_capacity);
-      obs.spans = result.spans.get();
-    }
-    if (config.monitors) {
-      result.monitors = std::make_shared<MonitorHub>();
-      result.monitors->attach_metrics(result.metrics.get());
-      if (config.monitor_pending_bound > 0) {
-        result.monitors->set_pending_bound(config.monitor_pending_bound);
-      }
-      obs.monitors = result.monitors.get();
-    }
-    sim->attach_observability(obs);
-    sampler = std::make_unique<sim::MetricsSampler>(*sim, *result.metrics,
-                                                    config.sample_interval);
+  if (config.span_tracing) {
+    result.spans = std::make_shared<SpanLog>(config.span_capacity);
+    obs.spans = result.spans.get();
   }
+  if (config.monitors) {
+    result.monitors = std::make_shared<MonitorHub>();
+    if (config.monitor_pending_bound > 0) {
+      result.monitors->set_pending_bound(config.monitor_pending_bound);
+    }
+    obs.monitors = result.monitors.get();
+  }
+  sim->attach_observability(obs);
   const std::vector<GroupId> targets = make_target_ids(config.num_groups);
   const int total_clients = config.clients_per_group * config.num_groups;
 
@@ -310,26 +271,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                               c % wan_model->num_regions())});
       }
     }
-    if (sampler) {
-      for (int i = 0; i < group.n(); ++i) {
-        sampler->watch(group.replica(i), replica_label(group.id(), i));
-      }
-      sampler->start(horizon);
-    }
     for (auto& slot : clients) slot.issue(sinks, *sim, config.payload_size);
     sim->run_until(horizon);
-    result.wire_messages = sim->network().messages_sent();
-    if (obs.metrics != nullptr) {
-      for (int i = 0; i < group.n(); ++i) {
-        const auto& rep = group.replica(i);
-        const std::string label = replica_label(group.id(), i);
-        obs.metrics->counter("replica.executed." + label)
-            .inc(rep.executed_requests());
-        obs.metrics->gauge("replica.cpu_busy_mean." + label)
-            .set(static_cast<double>(rep.busy_time()) /
-                 static_cast<double>(horizon));
-      }
-    }
   } else {
     // Assemble the tree-based protocols.
     std::unique_ptr<core::ByzCastSystem> system;
@@ -360,16 +303,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         break;
       case Protocol::kBftSmart:
         BZC_ASSERT(false);
-    }
-
-    if (sampler) {
-      for (const auto& [gid, info] : sys->registry()) {
-        auto& grp = sys->group(gid);
-        for (int i = 0; i < grp.n(); ++i) {
-          sampler->watch(grp.replica(i), replica_label(gid, i));
-        }
-      }
-      sampler->start(horizon);
     }
 
     std::vector<CoreClientSlot> clients;
@@ -430,26 +363,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         ++result.a_deliveries;
       }
     }
-    result.wire_messages = sim->network().messages_sent();
-    if (obs.metrics != nullptr) {
-      export_run_counters(*obs.metrics, *sys, config.warmup, horizon);
-    }
   }
 
   result.throughput = sinks.all.rate_per_sec(config.warmup, horizon);
   result.throughput_local = sinks.local.rate_per_sec(config.warmup, horizon);
   result.throughput_global =
       sinks.global.rate_per_sec(config.warmup, horizon);
-  if (obs.metrics != nullptr) {
-    // Sampled completion-rate timeseries over the measurement window — the
-    // "throughput over time" view that exposes when saturation sets in.
-    auto& ts = obs.metrics->timeseries("workload.throughput.all");
-    for (const auto& [when, rate] :
-         sinks.all.timeseries(config.warmup, horizon,
-                              config.sample_interval)) {
-      ts.append(when, rate);
-    }
-  }
   return result;
 }
 

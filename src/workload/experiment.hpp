@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/metrics.hpp"
 #include "common/monitor.hpp"
 #include "common/span.hpp"
 #include "common/stats.hpp"
@@ -57,29 +56,21 @@ struct ExperimentConfig {
   Time warmup = 1 * kSecond;
   Time duration = 4 * kSecond;  // measurement window after warmup
   std::uint64_t seed = 42;
-  /// Observability: when true the run publishes per-group counters and
-  /// sampled per-replica queue depth / CPU-busy fraction into
-  /// ExperimentResult::metrics (see docs/ARCHITECTURE.md, "Observability").
-  /// Costs a few percent of host time; disable for huge parameter sweeps
-  /// where only end-to-end numbers matter.
-  bool observability = true;
-  Time sample_interval = 100 * kMillisecond;
   /// Causal span tracing (docs/ARCHITECTURE.md, "Observability: spans,
   /// critical path, invariant monitors"): sampled client messages carry a
   /// trace flag on the wire and every Algorithm-1 stage stamps a Span, from
-  /// which CriticalPathAnalyzer decomposes end-to-end latency. Requires
-  /// `observability`. Off by default; the overhead with sampling is
-  /// measured in BENCH_trace.json.
+  /// which CriticalPathAnalyzer decomposes end-to-end latency. Off by
+  /// default. Its wall-clock cost is perfbench's trace.overhead_share
+  /// (docs/ARCHITECTURE.md, "Cost and the sampling knob").
   bool span_tracing = false;
   /// Trace every n-th message per client (1 = all). This is the overhead
-  /// knob: production-style runs keep tracing always-on at e.g. 1/64
-  /// sampling for <5% cost.
+  /// knob: production-style runs keep tracing always-on at sparse sampling,
+  /// e.g. 1/64.
   std::uint32_t span_sample_every = 1;
   std::size_t span_capacity = SpanLog::kDefaultCapacity;
   /// Online invariant monitors (per-sender FIFO, group agreement, acyclic
   /// prefix order across groups, bounded pending copies) attached as
-  /// delivery observers; violations surface as monitor.violations.*
-  /// counters. Requires `observability`.
+  /// delivery observers; ExperimentResult::monitors counts the violations.
   bool monitors = false;
   /// Bound for the pending-copies monitor (0 = that check disabled).
   std::size_t monitor_pending_bound = 0;
@@ -90,8 +81,7 @@ struct ExperimentConfig {
   std::uint32_t pipeline_depth = 0;
   std::uint32_t batch_max = 0;
   std::uint32_t batch_min = 0;
-  /// Batch assembly window override; 0 keeps the preset (which itself falls
-  /// back to cpu_propose_fixed when its batch_timeout is 0).
+  /// Batch assembly window override; 0 keeps the preset's window.
   Time batch_timeout = 0;
   // --- stage pipeline (intra-group vertical scaling) -----------------------
   /// Verify-stage worker pool size per replica (0 = verification inline on
@@ -110,11 +100,8 @@ struct ExperimentResult {
   LatencyRecorder latency_global;
   std::uint64_t completed = 0;       // total completions (whole run)
   std::uint64_t a_deliveries = 0;    // ByzCast/Baseline only
-  std::uint64_t wire_messages = 0;   // network traffic (whole run)
-  /// Populated when config.observability is on (shared_ptr keeps the result
-  /// cheaply copyable); null otherwise.
-  std::shared_ptr<MetricsRegistry> metrics;
-  /// Populated when config.span_tracing / config.monitors are on.
+  /// Populated when config.span_tracing / config.monitors are on
+  /// (shared_ptr keeps the result cheaply copyable); null otherwise.
   std::shared_ptr<SpanLog> spans;
   std::shared_ptr<MonitorHub> monitors;
 };

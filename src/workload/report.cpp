@@ -77,25 +77,6 @@ void write_series_csv(const std::string& path,
   }
 }
 
-void write_metrics_sidecar(const std::string& path,
-                           const ExperimentResult& result) {
-  if (!result.metrics) return;
-  Json summary = Json::object();
-  summary.set("throughput", Json::number(result.throughput));
-  summary.set("throughput_local", Json::number(result.throughput_local));
-  summary.set("throughput_global", Json::number(result.throughput_global));
-  summary.set("completed", Json::number(result.completed));
-  summary.set("a_deliveries", Json::number(result.a_deliveries));
-  summary.set("wire_messages", Json::number(result.wire_messages));
-  summary.set("latency_mean_ms", Json::number(result.latency_all.mean_ms()));
-  summary.set("latency_p95_ms",
-              Json::number(result.latency_all.percentile_ms(95)));
-  Json doc = Json::object();
-  doc.set("summary", std::move(summary));
-  doc.set("metrics", result.metrics->to_json());
-  write_json_file(path, doc);
-}
-
 void write_span_sidecar(const std::string& path,
                         const ExperimentResult& result, int f) {
   if (!result.spans) return;

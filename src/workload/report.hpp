@@ -1,5 +1,5 @@
 // Reporting helpers shared by the benchmark binaries: aligned plain-text
-// tables, series CSVs and the JSON sidecars of one experiment run.
+// tables, series CSVs and the span sidecars of one experiment run.
 #pragma once
 
 #include <string>
@@ -25,15 +25,6 @@ void print_table(const std::vector<std::string>& columns,
 void write_series_csv(const std::string& path,
                       const std::vector<std::string>& columns,
                       const std::vector<std::vector<std::string>>& rows);
-
-/// Writes the machine-readable metrics sidecar for one experiment run as
-/// JSON: run summary numbers and the whole MetricsRegistry (per-group
-/// a-delivery counters, per-replica CPU-busy / queue-depth timeseries,
-/// batch-size histograms). Benches emit this next to their CSVs;
-/// tools/plot_benches.py consumes it. No-op (removing any stale file is NOT
-/// attempted) when the run had observability disabled.
-void write_metrics_sidecar(const std::string& path,
-                           const ExperimentResult& result);
 
 /// Writes the deterministic span sidecar (core::spans_sidecar_json) for a
 /// run with span tracing on; byte-identical across same-seed simulation

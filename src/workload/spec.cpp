@@ -175,7 +175,6 @@ void read_config(Members& m, ExperimentConfig& cfg) {
   m.integer("warmup_ms", cfg.warmup, 0, kMaxWindowMs, kMillisecond);
   m.integer("duration_ms", cfg.duration, 1, kMaxWindowMs, kMillisecond);
   m.integer("seed", cfg.seed, 0, std::int64_t{1} << 53);
-  m.boolean("observability", cfg.observability);
   m.boolean("monitors", cfg.monitors);
   m.boolean("span_tracing", cfg.span_tracing);
   m.integer("span_sample_every", cfg.span_sample_every, 1, 1 << 30);
@@ -268,8 +267,7 @@ void read_expect(Members& m, const Json& expect, RateSchedule::Kind kind,
       m.set_error("expect metric " + metric + " does not fit the rate kind");
       return;
     }
-    if (what == BoundMetric::kTraced &&
-        !(curve.config.span_tracing && curve.config.observability)) {
+    if (what == BoundMetric::kTraced && !curve.config.span_tracing) {
       m.set_error("expect metric " + metric + " needs span_tracing");
       return;
     }

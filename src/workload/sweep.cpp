@@ -58,12 +58,7 @@ double ClassBreakdown::*component_of(const std::string& name) {
 }
 
 std::uint64_t sum_monitor_violations(const ExperimentResult& result) {
-  if (!result.metrics) return 0;
-  std::uint64_t total = 0;
-  for (const auto& [name, counter] : result.metrics->counters()) {
-    if (name.rfind("monitor.violations.", 0) == 0) total += counter.value();
-  }
-  return total;
+  return result.monitors ? result.monitors->total_violations() : 0;
 }
 
 /// The metric's value on `curve`; nullopt when the curve does not define it.

@@ -122,7 +122,7 @@ void classify_saturation(std::vector<SweepPoint>& points, double p99_factor,
 [[nodiscard]] std::size_t first_saturated(const std::vector<SweepPoint>& pts);
 
 /// Runs the full sweep for `base` (its open_loop_total_rate is overwritten
-/// per point). Experiments run with whatever observability/monitors `base`
+/// per point). Experiments run with whatever span tracing/monitors `base`
 /// enables; monitor violations are summed into each point.
 [[nodiscard]] SweepCurve run_sweep(const ExperimentConfig& base,
                                    const SweepSettings& settings,

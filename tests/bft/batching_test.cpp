@@ -37,7 +37,7 @@ TEST(Batching, ConcurrentRequestsShareInstances) {
   const auto executed = group.replica(0).executed_requests();
   const auto instances = group.replica(0).decided_instances();
   EXPECT_EQ(executed, 300u);
-  // The assembly window (~cpu_propose_fixed) collects all closed-loop
+  // The assembly window (Profile::batch_timeout) collects all closed-loop
   // clients: expect average batch size near the client count.
   EXPECT_LE(instances, 40u);
   EXPECT_GE(static_cast<double>(executed) / static_cast<double>(instances),

@@ -143,8 +143,8 @@ TEST(Pipeline, StaleTimerQuietWithoutEarlyCuts) {
 }
 
 TEST(Pipeline, BatchTimeoutCutsPartialBatchSooner) {
-  // With batch_timeout well under cpu_propose_fixed, a lone request decides
-  // measurably faster than under the default window.
+  // With batch_timeout well under the preset's 1.6 ms window, a lone
+  // request decides measurably faster than under the default window.
   Time latency_default = -1;
   Time latency_fast = -1;
   for (const bool fast : {false, true}) {
@@ -161,7 +161,7 @@ TEST(Pipeline, BatchTimeoutCutsPartialBatchSooner) {
   }
   ASSERT_GE(latency_default, 0);
   ASSERT_GE(latency_fast, 0);
-  // The shorter assembly window shaves most of cpu_propose_fixed off the
+  // The shorter assembly window shaves most of the preset window off the
   // wait (the proposal CPU itself is still paid).
   EXPECT_LT(latency_fast, latency_default);
 }

@@ -3,12 +3,15 @@
 // mixed local/global workload, and the five atomic multicast properties of
 // §II-B are evaluated over the concurrently recorded DeliveryLog. This is
 // the runtime counterpart of properties/byzcast_properties_test.cpp — same
-// oracle, real concurrency instead of simulated time.
+// oracle, real concurrency instead of simulated time. The last case runs the
+// single-group tree under a closed loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -153,6 +156,78 @@ TEST(RuntimeSystem, InjectedLatencyStillDeliversEverything) {
   EXPECT_TRUE(check_validity_agreement(in));
   EXPECT_TRUE(check_prefix_order(in));
   EXPECT_TRUE(check_acyclic_order(in));
+}
+
+TEST(RuntimeSystem, SingleGroupTreeSatisfiesProperties) {
+  // The degenerate tree (one target group, no auxiliary root) under a closed
+  // loop: each client re-issues from its own completion, on its own worker.
+  constexpr int kClients = 2;
+  constexpr int kMsgsPerClient = 40;
+  const GroupId target{0};
+  // The loop state is declared before the system so that it outlives the
+  // workers even when an assertion returns early. Slot c is touched only by
+  // client c's worker until every completion is in; the atomic count orders
+  // those writes before the reads below.
+  std::vector<core::Client*> clients;
+  std::vector<int> issued(kClients, 0);
+  std::atomic<int> completions{0};
+  std::function<void(int)> issue = [&](int c) {
+    int& k = issued[static_cast<std::size_t>(c)];
+    if (k == kMsgsPerClient) return;
+    const Bytes payload =
+        to_bytes("s-" + std::to_string(c) + "-" + std::to_string(k++));
+    clients[static_cast<std::size_t>(c)]->a_multicast(
+        {target}, payload, [&, c](const core::MulticastMessage&, Time) {
+          completions.fetch_add(1);
+          issue(c);
+        });
+  };
+  ParallelOptions opts;
+  opts.runtime.seed = 13;
+  ParallelSystem system(core::OverlayTree::single(target), /*f=*/1, opts);
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(&system.add_client("client" + std::to_string(c)));
+  }
+  system.start();
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(system.env().run_on(clients[static_cast<std::size_t>(c)]->id(),
+                                    [&issue, c] { issue(c); }));
+  }
+  const int total = kClients * kMsgsPerClient;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(3);
+  while (completions.load() < total &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(completions.load(), total);
+
+  std::vector<SentMessage> sent;
+  std::vector<std::vector<GroupId>> dsts;
+  for (const core::Client* client : clients) {
+    for (int k = 0; k < kMsgsPerClient; ++k) {
+      sent.push_back(SentMessage{
+          MessageId{client->id(), static_cast<std::uint64_t>(k)}, {target}});
+      dsts.push_back({target});
+    }
+  }
+  const std::size_t expected = system.expected_deliveries(dsts);
+  ASSERT_TRUE(
+      system.await_total_deliveries(expected, std::chrono::minutes(3)));
+  system.stop();
+
+  PropertyInput in;
+  in.log = &system.delivery_log();
+  in.sent = sent;
+  auto& grp = system.system().group(target);
+  for (const int i : grp.correct_indices()) {
+    in.correct_replicas[target].push_back(grp.replica(i).id());
+  }
+  EXPECT_TRUE(check_integrity(in));
+  EXPECT_TRUE(check_validity_agreement(in));
+  EXPECT_TRUE(check_prefix_order(in));
+  EXPECT_TRUE(check_acyclic_order(in));
+  EXPECT_EQ(system.delivery_log().total_deliveries(), expected);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <fstream>
 
-#include "common/json.hpp"
-
 namespace byzcast::workload {
 namespace {
 
@@ -32,44 +30,6 @@ TEST(Report, HeaderFormat) {
   print_header("Figure 42");
   const std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_EQ(out, "\n== Figure 42 ==\n");
-}
-
-TEST(Report, MetricsSidecarWritesObservabilityJson) {
-  ExperimentConfig cfg;
-  cfg.protocol = Protocol::kByzCast2Level;
-  cfg.num_groups = 2;
-  cfg.clients_per_group = 2;
-  cfg.workload.pattern = Pattern::kGlobalUniformPairs;
-  cfg.warmup = 200 * kMillisecond;
-  cfg.duration = 1 * kSecond;
-  cfg.seed = 5;
-  const ExperimentResult result = run_experiment(cfg);
-  ASSERT_NE(result.metrics, nullptr);
-
-  const std::string path = ::testing::TempDir() + "bzc_metrics_test.json";
-  write_metrics_sidecar(path, result);
-  std::string err;
-  const auto doc = read_json_file(path, &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-
-  // Acceptance-criterion contents: run summary, per-group a-delivery
-  // counters, per-replica CPU-busy fractions and queue-depth timeseries.
-  EXPECT_EQ(doc->get("summary").get("completed").as_int(),
-            static_cast<std::int64_t>(result.completed));
-  const Json& metrics = doc->get("metrics");
-  EXPECT_TRUE(metrics.get("counters").has("group.a_deliveries.g0"));
-  EXPECT_TRUE(metrics.get("counters").has("group.a_deliveries.g1"));
-  EXPECT_TRUE(metrics.get("gauges").has("replica.cpu_busy_mean.g0.r0"));
-  EXPECT_TRUE(metrics.get("timeseries").has("actor.queue_depth.g0.r0"));
-}
-
-TEST(Report, MetricsSidecarIsNoOpWithoutObservability) {
-  ExperimentResult result;  // metrics left null
-  const std::string path =
-      ::testing::TempDir() + "bzc_metrics_absent_test.json";
-  write_metrics_sidecar(path, result);
-  std::ifstream in(path);
-  EXPECT_FALSE(in.good());
 }
 
 TEST(Report, SeriesCsvWritesRows) {

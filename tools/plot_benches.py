@@ -6,13 +6,12 @@ Usage:
         [--require BENCH.json]...
 
 Reads the bench_sweep artifacts (BENCH_*.json, schema "byzcast-sweep-v1",
-the paper's figures among them), the wall-clock BENCH_*.json files, the
-CSVs and *_metrics.json / *_spans.json sidecars under bench_csv_dir.
-Prints a summary of each; with matplotlib, also draws one PNG per CSV
-(series tables as line charts), the sidecar timeseries, p99-vs-offered or
-throughput per sweep curve, the per-class latency CDFs of fixed-rate
-specs and the stacked latency breakdowns. Degrades to the summaries when
-matplotlib is missing.
+the paper's figures and the ablations among them), and the CSVs and
+*_spans.json sidecars under bench_csv_dir. Prints a summary of each; with
+matplotlib, also draws one PNG per CSV (series tables as line charts),
+p99-vs-offered or throughput per sweep curve, the per-class latency CDFs
+of fixed-rate specs and the stacked latency breakdowns. Degrades to the
+summaries when matplotlib is missing.
 """
 import csv
 import json
@@ -26,139 +25,14 @@ def load(path):
     return rows[0], rows[1:]
 
 
-def load_sidecar(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def summarize_sidecar(name, doc):
-    """Prints a compact human summary of one *_metrics.json sidecar."""
-    print(f"\n{name}:")
-    summary = doc.get("summary", {})
-    if summary:
-        thr = summary.get("throughput")
-        lat = summary.get("latency_mean_ms")
-        print(f"  throughput: {thr:.0f} msg/s, mean latency {lat:.2f} ms"
-              if thr is not None and lat is not None else f"  summary: {summary}")
-    metrics = doc.get("metrics", {})
-    counters = metrics.get("counters", {})
-    adeliv = {k: v for k, v in counters.items()
-              if k.startswith("group.a_deliveries.")}
-    if adeliv:
-        parts = ", ".join(f"{k.rsplit('.', 1)[-1]}={v}"
-                          for k, v in sorted(adeliv.items()))
-        print(f"  a-deliveries per group: {parts}")
-    gauges = metrics.get("gauges", {})
-    busy = {k: v for k, v in gauges.items()
-            if k.startswith("replica.cpu_busy_mean.")}
-    if busy:
-        mean = sum(busy.values()) / len(busy)
-        peak = max(busy.values())
-        print(f"  replica CPU busy: mean {mean:.1%}, peak {peak:.1%} "
-              f"({len(busy)} replicas)")
-
-
-def find_bench_json(src, name):
-    """Locates a BENCH_*.json next to the CSV dir or in the working
-    directory."""
-    for candidate in (os.path.join(src, name), name):
-        if os.path.isfile(candidate):
-            try:
-                return load_sidecar(candidate)
-            except (json.JSONDecodeError, OSError) as err:
-                print(f"skipping malformed {candidate}: {err}")
-    return None
-
-
-def summarize_runtime_bench(doc):
-    configs = doc.get("configs", [])
-    print("\nBENCH_runtime.json (wall-clock backend):")
-    for c in configs:
-        print(f"  {c.get('groups')} groups {c.get('pattern'):<5} "
-              f"{c.get('workers')} workers: "
-              f"{c.get('throughput_msgs_s', 0):.0f} msg/s, "
-              f"mean {c.get('latency_mean_ms', 0):.2f} ms, "
-              f"p95 {c.get('latency_p95_ms', 0):.2f} ms")
-
-
-def summarize_wire_bench(doc):
-    """BENCH_wire.json: before/after throughput of the zero-copy wire fabric
-    plus the property-checker verdict per config."""
-    configs = doc.get("configs", [])
-    print(f"\nBENCH_wire.json (zero-copy wire fabric, baseline: "
-          f"{doc.get('baseline_source', '?')}):")
-    for c in configs:
-        after = c.get("throughput_after_msgs_s", 0.0)
-        before = c.get("throughput_before_msgs_s")
-        pct = c.get("improvement_pct")
-        ok = c.get("properties_ok")
-        delta = (f"{before:.0f} -> {after:.0f} msg/s ({pct:+.1f}%)"
-                 if before is not None and pct is not None
-                 else f"{after:.0f} msg/s (no baseline)")
-        verdict = "properties OK" if ok else \
-            f"PROPERTIES VIOLATED: {c.get('properties_error', '?')}"
-        print(f"  {c.get('groups')} groups {c.get('pattern'):<5} "
-              f"{delta}, {verdict}")
-
-
-def plot_wire_bench(doc, dst, plt):
-    """Grouped before/after bars, one pair per (groups, pattern) config."""
-    configs = [c for c in doc.get("configs", [])
-               if c.get("throughput_before_msgs_s") is not None]
-    if not configs:
-        return
-    labels = [f"{c['groups']}g {c['pattern']}" for c in configs]
-    before = [c["throughput_before_msgs_s"] for c in configs]
-    after = [c["throughput_after_msgs_s"] for c in configs]
-    xs = list(range(len(configs)))
-    fig, ax = plt.subplots(figsize=(6, 4))
-    width = 0.38
-    ax.bar([x - width / 2 for x in xs], before, width, label="before",
-           color="gray")
-    bars = ax.bar([x + width / 2 for x in xs], after, width, label="after")
-    for x, bar, c in zip(xs, bars, configs):
-        pct = c.get("improvement_pct")
-        if pct is not None:
-            ax.annotate(f"{pct:+.0f}%", (bar.get_x() + bar.get_width() / 2,
-                                         bar.get_height()),
-                        ha="center", va="bottom", fontsize=8)
-    ax.set_xticks(xs)
-    ax.set_xticklabels(labels)
-    ax.set_ylabel("wall-clock msg/s")
-    ax.set_title("zero-copy wire fabric: before/after throughput")
-    ax.legend(fontsize=8)
-    ax.grid(True, axis="y", alpha=0.3)
-    out = os.path.join(dst, "wire_fabric_before_after.png")
-    fig.tight_layout()
-    fig.savefig(out, dpi=120)
-    plt.close(fig)
-    print("wrote", out)
-
-
-def plot_runtime_bench(doc, dst, plt):
-    """Wall-clock throughput vs groups, one line per pattern."""
-    configs = doc.get("configs", [])
-    series = {}
-    for c in configs:
-        series.setdefault(c.get("pattern", "?"), []).append(
-            (c.get("groups", 0), c.get("throughput_msgs_s", 0.0)))
-    if not series:
-        return
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for pattern in sorted(series):
-        points = sorted(series[pattern])
-        ax.plot([p[0] for p in points], [p[1] for p in points], marker="o",
-                label=f"runtime {pattern}")
-    ax.set_xlabel("target groups")
-    ax.set_ylabel("wall-clock msg/s")
-    ax.grid(True, alpha=0.3)
-    ax.legend(fontsize=8, loc="upper left")
-    ax.set_title("runtime backend throughput")
-    out = os.path.join(dst, "runtime_throughput_bench.png")
-    fig.tight_layout()
-    fig.savefig(out, dpi=120)
-    plt.close(fig)
-    print("wrote", out)
+def load_json(path):
+    """The parsed JSON at `path`, or None (with a note) when malformed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, OSError) as err:
+        print(f"skipping malformed {path}: {err}")
+        return None
 
 
 def summarize_span_sidecar(name, doc):
@@ -184,18 +58,6 @@ def summarize_span_sidecar(name, doc):
         print(f"  invariant monitors: {verdict}")
 
 
-def summarize_trace_bench(doc):
-    """BENCH_trace.json: span-tracing overhead off / sampled / full."""
-    print("\nBENCH_trace.json (tracing overhead, wall-clock backend):")
-    for c in doc.get("configs", []):
-        over = c.get("overhead_pct")
-        extra = f", overhead {over:+.1f}%" if over is not None else ""
-        print(f"  {c.get('mode'):<8} (every {c.get('sample_every')}): "
-              f"{c.get('throughput_msgs_s', 0):.0f} msg/s, "
-              f"{c.get('spans_recorded', 0)} spans{extra}")
-    print(f"  knob: {doc.get('knob', '?')}")
-
-
 def find_sweep_docs(src):
     """Every bench_sweep artifact (BENCH_*.json with schema
     "byzcast-sweep-v1") next to the CSV dir or in the working directory,
@@ -208,7 +70,7 @@ def find_sweep_docs(src):
             if name in docs or not (name.startswith("BENCH_")
                                     and name.endswith(".json")):
                 continue
-            doc = find_bench_json(folder, name)
+            doc = load_json(os.path.join(folder, name))
             if isinstance(doc, dict) and doc.get("schema") == "byzcast-sweep-v1":
                 docs[name] = doc
     return docs
@@ -471,35 +333,6 @@ def plot_cluster_hops(name, doc, dst, plt):
         print("wrote", out)
 
 
-def plot_sidecar_timeseries(name, doc, dst, plt):
-    """One PNG per sidecar: CPU-busy (top) and queue-depth (bottom) samples."""
-    ts = doc.get("metrics", {}).get("timeseries", {})
-    busy = {k: v for k, v in ts.items() if k.startswith("actor.cpu_busy.")}
-    depth = {k: v for k, v in ts.items() if k.startswith("actor.queue_depth.")}
-    if not busy and not depth:
-        return
-    fig, axes = plt.subplots(2, 1, figsize=(7, 6), sharex=True)
-    for ax, series, ylabel in ((axes[0], busy, "CPU busy fraction"),
-                               (axes[1], depth, "inbox queue depth")):
-        for key in sorted(series):
-            points = series[key]
-            xs = [p[0] / 1000.0 for p in points]  # ms -> s
-            ys = [p[1] for p in points]
-            ax.plot(xs, ys, linewidth=0.8, label=key.rsplit(".", 2)[-2] + "." +
-                    key.rsplit(".", 1)[-1])
-        ax.set_ylabel(ylabel)
-        ax.grid(True, alpha=0.3)
-        if len(series) <= 12 and series:
-            ax.legend(fontsize=6, ncol=4)
-    axes[1].set_xlabel("time (s)")
-    axes[0].set_title(name.replace(".json", ""))
-    out = os.path.join(dst, name.replace(".json", ".png"))
-    fig.tight_layout()
-    fig.savefig(out, dpi=120)
-    plt.close(fig)
-    print("wrote", out)
-
-
 def main():
     # --require NAME.json (repeatable): fail loudly when an expected
     # BENCH_*.json artifact is missing instead of silently plotting less.
@@ -517,64 +350,34 @@ def main():
     # The CSV dir is optional: BENCH_*.json artifacts (e.g. bench_sweep's)
     # are also searched for in the working directory, so a json-only run
     # still summarizes and plots.
-    files, sidecars = [], []
-    if os.path.isdir(src):
-        files = sorted(f for f in os.listdir(src) if f.endswith(".csv"))
-        sidecars = sorted(f for f in os.listdir(src)
-                          if f.endswith("_metrics.json"))
-
-    docs = {}
-    for name in sidecars:
-        try:
-            docs[name] = load_sidecar(os.path.join(src, name))
-        except (json.JSONDecodeError, OSError) as err:
-            print(f"skipping malformed sidecar {name}: {err}")
-    for name, doc in docs.items():
-        summarize_sidecar(name, doc)
+    files = (sorted(f for f in os.listdir(src) if f.endswith(".csv"))
+             if os.path.isdir(src) else [])
     span_docs = {}
     span_files = (sorted(f for f in os.listdir(src)
                          if f.endswith("_spans.json"))
                   if os.path.isdir(src) else [])
     for name in span_files:
-        try:
-            span_docs[name] = load_sidecar(os.path.join(src, name))
-        except (json.JSONDecodeError, OSError) as err:
-            print(f"skipping malformed span sidecar {name}: {err}")
+        doc = load_json(os.path.join(src, name))
+        if doc is not None:
+            span_docs[name] = doc
     for name, doc in span_docs.items():
         summarize_span_sidecar(name, doc)
         summarize_cluster_section(name, doc)
-    runtime_bench = find_bench_json(src, "BENCH_runtime.json")
-    if runtime_bench:
-        summarize_runtime_bench(runtime_bench)
-    wire_bench = find_bench_json(src, "BENCH_wire.json")
-    if wire_bench:
-        summarize_wire_bench(wire_bench)
-    trace_bench = find_bench_json(src, "BENCH_trace.json")
-    if trace_bench:
-        summarize_trace_bench(trace_bench)
     sweep_docs = find_sweep_docs(src)
     for name, doc in sweep_docs.items():
         summarize_sweep_bench(name, doc)
 
-    by_name = {
-        "BENCH_runtime.json": runtime_bench,
-        "BENCH_wire.json": wire_bench,
-        "BENCH_trace.json": trace_bench,
-        **sweep_docs,
-    }
     # --require also accepts span sidecars (e.g. cluster_spans.json from
-    # byzcast-ctl merge) and *_metrics.json sidecars by filename.
+    # byzcast-ctl merge) by filename.
     missing = [name for name in required
-               if not (by_name.get(name) or span_docs.get(name)
-                       or docs.get(name))]
+               if not (sweep_docs.get(name) or span_docs.get(name))]
     if missing:
         for name in missing:
             print(f"FAIL: required bench artifact missing or malformed: {name}")
         return 1
 
-    benches = list(by_name.values())
-    if not files and not sidecars and not span_docs and not any(benches):
-        print(f"no CSV, metrics or BENCH_*.json inputs in {src}/ or cwd")
+    if not files and not span_docs and not sweep_docs:
+        print(f"no CSV, span sidecar or BENCH_*.json inputs in {src}/ or cwd")
         return 1
 
     try:
@@ -584,7 +387,7 @@ def main():
         import matplotlib.pyplot as plt
     except ImportError:
         print("\nmatplotlib not installed; files available:")
-        for f in files + sidecars:
+        for f in files:
             print(" ", os.path.join(src, f))
         return 0
 
@@ -614,15 +417,9 @@ def main():
         plt.close(fig)
         print("wrote", out)
 
-    for name, doc in docs.items():
-        plot_sidecar_timeseries(name, doc, dst, plt)
     for name, doc in span_docs.items():
         plot_span_breakdown(name, doc, dst, plt)
         plot_cluster_hops(name, doc, dst, plt)
-    if runtime_bench:
-        plot_runtime_bench(runtime_bench, dst, plt)
-    if wire_bench:
-        plot_wire_bench(wire_bench, dst, plt)
     for name, doc in sweep_docs.items():
         plot_sweep_bench(name, doc, dst, plt)
     return 0
