@@ -11,11 +11,35 @@ void put_digest(Writer& w, const Digest& d) {
 }
 
 Digest get_digest(Reader& r) {
-  const Bytes raw = r.bytes();
+  const BytesView raw = r.bytes_view();
   BZC_EXPECTS(raw.size() == 32);
   Digest d;
   std::copy(raw.begin(), raw.end(), d.begin());
   return d;
+}
+
+// Exact encoded sizes of the hot-path messages (the codec is fixed-width),
+// so each encoder reserves once and never grows its buffer.
+constexpr std::size_t kTagSize = 1;
+/// group, origin, seq, reconfig flag and the op's length prefix.
+constexpr std::size_t kRequestHeaderSize = 4 + 4 + 8 + 1 + 4;
+/// phase tag, view, instance and the length-prefixed digest.
+constexpr std::size_t kVoteSize = kTagSize + 8 + 8 + 4 + sizeof(Digest);
+
+std::size_t encoded_size(const Request& req) {
+  return kRequestHeaderSize + req.op.size();
+}
+
+/// Count prefix plus each request.
+std::size_t encoded_batch_size(const Batch& batch) {
+  std::size_t size = 4;
+  for (const auto& req : batch) size += encoded_size(req);
+  return size;
+}
+
+/// group, seq and the length-prefixed result.
+std::size_t encoded_body_size(const Reply& rep) {
+  return 4 + 8 + 4 + rep.result.size();
 }
 
 }  // namespace
@@ -39,21 +63,9 @@ Request Request::decode(Reader& r) {
   req.origin = r.process_id();
   req.seq = r.u64();
   req.reconfig = r.u8() != 0;
-  req.op = r.bytes();
+  req.op = r.buffer();
   return req;
 }
-
-namespace {
-
-/// Exact encoded size of a batch (count prefix + fixed request header +
-/// length-prefixed op per request).
-std::size_t encoded_batch_size(const Batch& batch) {
-  std::size_t est = 4;
-  for (const auto& req : batch) est += 21 + req.op.size();
-  return est;
-}
-
-}  // namespace
 
 Bytes encode_batch(const Batch& batch) {
   Writer w;
@@ -110,6 +122,7 @@ std::uint32_t peek_propose_count(BytesView payload) {
 Bytes Vote::encode() const {
   BZC_EXPECTS(phase == MsgType::kWrite || phase == MsgType::kAccept);
   Writer w;
+  w.reserve(kVoteSize);
   w.u8(static_cast<std::uint8_t>(phase));
   w.u64(view);
   w.u64(instance);
@@ -129,6 +142,7 @@ Vote Vote::decode(MsgType type, Reader& r) {
 
 Bytes Reply::encode() const {
   Writer w;
+  w.reserve(kTagSize + encoded_body_size(*this));
   w.u8(static_cast<std::uint8_t>(MsgType::kReply));
   encode_body(w);
   return w.take();
@@ -151,7 +165,10 @@ Reply Reply::decode_body(Reader& r) {
 }
 
 Bytes ReplyBatch::encode() const {
+  std::size_t size = kTagSize + 4;
+  for (const auto& rep : replies) size += encoded_body_size(rep);
   Writer w;
+  w.reserve(size);
   w.u8(static_cast<std::uint8_t>(MsgType::kReplyBatch));
   w.vec(replies, [](Writer& ww, const Reply& rep) { rep.encode_body(ww); });
   return w.take();
@@ -282,6 +299,7 @@ Frontier Frontier::decode(Reader& r) {
 
 Bytes encode_request(const Request& req) {
   Writer w;
+  w.reserve(kTagSize + encoded_size(req));
   w.u8(static_cast<std::uint8_t>(MsgType::kRequest));
   req.encode(w);
   return w.take();

@@ -1,6 +1,8 @@
 #include "bft/replica.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "common/contracts.hpp"
 #include "common/log.hpp"
@@ -15,6 +17,29 @@ namespace {
 /// order. Thread-local so shards never contend and the order stage (where
 /// the pointer stays null) is unaffected.
 thread_local std::vector<ExecBarrier::PendingSend>* t_stage_sends = nullptr;
+
+/// The history digest after executing `req`: SHA-256 over the codec layout
+/// [length-prefixed previous digest][message id][length-prefixed op],
+/// streamed into one context rather than encoded into a buffer first.
+Digest extend_history(const Digest& prev, const Request& req) {
+  const auto digest_len = static_cast<std::uint32_t>(prev.size());
+  const auto op_len = static_cast<std::uint32_t>(req.op.size());
+  std::array<std::uint8_t, 4 + sizeof(Digest) + 4 + 8 + 4> head;
+  std::uint8_t* at = head.data();
+  const auto put = [&at](const void* p, std::size_t n) {
+    std::memcpy(at, p, n);
+    at += n;
+  };
+  put(&digest_len, 4);
+  put(prev.data(), prev.size());
+  put(&req.origin.value, 4);
+  put(&req.seq, 8);
+  put(&op_len, 4);
+  Sha256 h;
+  h.update(BytesView(head.data(), head.size()));
+  h.update(req.op);
+  return h.finish();
+}
 }  // namespace
 
 Replica::Replica(sim::ExecutionEnv& env, GroupId group, int f, int index,
@@ -266,7 +291,6 @@ void Replica::admit_request(Request req, const sim::WireMessage* wire) {
   const MessageId rid = req.id();
   if (decided_requests_.contains(rid) || pending_since_.contains(rid)) return;
   AdmitInfo info;
-  info.suspicion = now();
   info.admitted = now();
   if (wire != nullptr) {
     info.wire_sent = wire->sent_at;
@@ -598,10 +622,8 @@ void Replica::decide(Batch batch, Time proposed_at, Time write_quorum_at) {
                 [&in_batch](const Request& req) {
                   return in_batch.contains(req.id());
                 });
-  // Progress resets suspicion: requests still pending restart their clock,
-  // so a busy-but-live leader is not suspected merely because the queue is
-  // longer than the timeout.
-  for (auto& [rid, info] : pending_since_) info.suspicion = now();
+  // Progress restarts the suspicion clock of every request still pending.
+  progress_at_ = now();
 
   // Garbage-collect votes below the decided frontier.
   while (!votes_.empty() && votes_.begin()->first.instance < next_instance_) {
@@ -679,11 +701,7 @@ void Replica::execute_one(const Request& req) {
   }
   // Fold the request into the rolling history digest (replicas of a group
   // must agree on it — checked by tests).
-  Writer w;
-  w.bytes(BytesView(history_digest_.data(), history_digest_.size()));
-  w.message_id(req.id());
-  w.bytes(req.op);
-  history_digest_ = Sha256::hash(w.data());
+  history_digest_ = extend_history(history_digest_, req);
 
   consume_cpu(env().profile().cpu_execute_per_msg);
   if (req.reconfig) {
@@ -835,9 +853,11 @@ void Replica::on_liveness_check() {
     if (pending_since_.empty()) return;
     Time oldest = now();
     for (const auto& [rid, info] : pending_since_) {
-      oldest = std::min(oldest, info.suspicion);
+      oldest = std::min(oldest, info.admitted);
     }
-    if (now() - oldest > timeout) request_view_change(view_ + 1);
+    if (now() - std::max(oldest, progress_at_) > timeout) {
+      request_view_change(view_ + 1);
+    }
   } else {
     // Stuck synchronization phase (e.g. the new leader is also faulty).
     if (now() - view_change_started_ > timeout) {

@@ -191,14 +191,13 @@ class Replica final : public sim::Actor, public ReplicaContext {
     Time write_quorum_at = -1;  // 2f+1 WRITEs seen
   };
 
-  /// Per-pending-request bookkeeping. `suspicion` drives leader suspicion
-  /// and is reset whenever the group makes progress (a busy-but-live leader
-  /// is not suspected for a long queue); `admitted` and the wire times are
-  /// immutable admission facts kept for span tracing. `inflight` marks
-  /// requests this replica cut into one of its own open proposals (they left
-  /// pending_ and must be re-queued if the view changes before they decide).
+  /// Per-pending-request bookkeeping. `admitted` starts the request's
+  /// leader-suspicion clock (restarted by every decision, see
+  /// `progress_at_`); it and the wire times are immutable admission facts,
+  /// also kept for span tracing. `inflight` marks requests this replica cut
+  /// into one of its own open proposals (they left pending_ and must be
+  /// re-queued if the view changes before they decide).
   struct AdmitInfo {
-    Time suspicion = 0;
     Time admitted = 0;
     Time wire_sent = -1;
     Time wire_enqueued = -1;
@@ -318,6 +317,11 @@ class Replica final : public sim::Actor, public ReplicaContext {
   /// followers: all admitted, undecided requests).
   std::deque<Request> pending_;
   std::unordered_map<MessageId, AdmitInfo> pending_since_;
+  /// Time of the last decision. Progress restarts every pending request's
+  /// suspicion clock (a busy-but-live leader is not suspected merely because
+  /// the queue is longer than the timeout), so a request's clock reads
+  /// max(its admission, progress_at_).
+  Time progress_at_ = 0;
   std::unordered_set<MessageId> decided_requests_;
   std::size_t pipeline_high_water_ = 0;
   std::size_t max_decided_batch_ = 0;

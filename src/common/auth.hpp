@@ -30,10 +30,17 @@ namespace byzcast {
 /// cost of authentication is part of the Profile constants either way.
 enum class MacMode { kHmac, kFast };
 
-/// Derives pairwise keys from the master seed on every call; nothing is
-/// cached. Shared by all processes of one system via shared_ptr. Runtime
-/// workers and verify-stage threads call it concurrently, which is safe
-/// because it is immutable after construction and keeps no other state.
+/// Derives pairwise keys from the master seed. Shared by all processes of
+/// one system via shared_ptr. Immutable after construction, so runtime
+/// workers and verify-stage threads call it concurrently without a lock.
+///
+/// `mac` is the per-message entry point. In kHmac mode it looks the
+/// channel's HMAC key schedule (HmacKey) up in a small per-thread memo keyed
+/// by (master seed, lower pid, higher pid) and derives it only on a miss:
+/// a miss costs the pair-key hash plus the ipad and opad compressions, a
+/// hit none of them, and neither allocates. The memo is a pure cache of a
+/// pure function, private to its thread, so it needs no synchronization and
+/// two KeyStores with different seeds never share an entry.
 class KeyStore {
  public:
   explicit KeyStore(std::uint64_t master_seed, MacMode mode = MacMode::kHmac);
@@ -41,11 +48,18 @@ class KeyStore {
   /// Symmetric key shared by the (unordered) pair {a, b}.
   [[nodiscard]] Bytes pair_key(ProcessId a, ProcessId b) const;
 
+  /// MAC over `data` on the channel {a, b} (kHmac: HMAC-SHA256 under
+  /// pair_key(a, b); kFast: the keyed 64-bit mix under pair_key64(a, b)).
+  /// Thread-safe.
+  [[nodiscard]] Digest mac(ProcessId a, ProcessId b, BytesView data) const;
+
   [[nodiscard]] MacMode mode() const { return mode_; }
   /// 64-bit key for the fast mode.
   [[nodiscard]] std::uint64_t pair_key64(ProcessId a, ProcessId b) const;
 
  private:
+  [[nodiscard]] Digest pair_digest(std::int32_t lo, std::int32_t hi) const;
+
   std::uint64_t master_seed_;
   MacMode mode_;
 };
@@ -66,8 +80,10 @@ class KeyStore {
 /// protocol layer: request dedup, FIFO sequence numbers). A hit costs one
 /// SHA-256 pass over the payload instead of the full keyed HMAC (inner pass
 /// over key block + payload, plus the outer hash); a miss pays that pass on
-/// top of the HMAC. kFast mode is not cached: its MAC is itself one cheap
-/// hash pass, cheaper than the digest lookup.
+/// top of the HMAC (the channel's key schedule comes from KeyStore's memo,
+/// so the HMAC itself is the data pass plus one outer compression). kFast
+/// mode is not cached: its MAC is itself one cheap hash pass, cheaper than
+/// the digest lookup.
 ///
 /// The cache is safe for concurrent verifiers: the verify stage fans MAC
 /// checks for one replica out to a worker pool, so several threads may probe

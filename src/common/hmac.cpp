@@ -4,7 +4,7 @@
 
 namespace byzcast {
 
-Digest hmac_sha256(BytesView key, BytesView data) {
+HmacKey::HmacKey(BytesView key) {
   std::array<std::uint8_t, 64> block_key{};
   if (key.size() > 64) {
     const Digest hashed = Sha256::hash(key);
@@ -19,16 +19,21 @@ Digest hmac_sha256(BytesView key, BytesView data) {
     inner_pad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
     outer_pad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
   }
+  inner_.update(BytesView(inner_pad.data(), inner_pad.size()));
+  outer_.update(BytesView(outer_pad.data(), outer_pad.size()));
+}
 
-  Sha256 inner;
-  inner.update(BytesView(inner_pad.data(), inner_pad.size()));
-  inner.update(data);
-  const Digest inner_digest = inner.finish();
+Digest HmacKey::mac(BytesView data) const& { return HmacKey(*this).mac(data); }
 
-  Sha256 outer;
-  outer.update(BytesView(outer_pad.data(), outer_pad.size()));
-  outer.update(BytesView(inner_digest.data(), inner_digest.size()));
-  return outer.finish();
+Digest HmacKey::mac(BytesView data) && {
+  inner_.update(data);
+  const Digest inner_digest = inner_.finish();
+  outer_.update(BytesView(inner_digest.data(), inner_digest.size()));
+  return outer_.finish();
+}
+
+Digest hmac_sha256(BytesView key, BytesView data) {
+  return HmacKey(key).mac(data);
 }
 
 }  // namespace byzcast

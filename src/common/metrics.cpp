@@ -59,11 +59,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return histograms_.try_emplace(name, std::move(bounds)).first->second;
 }
 
-Timeseries& MetricsRegistry::timeseries(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return timeseries_[name];
-}
-
 Json MetricsRegistry::to_json() const {
   Json counters = Json::object();
   for (const auto& [name, c] : counters_) {
@@ -86,22 +81,10 @@ Json MetricsRegistry::to_json() const {
     hj.set("sum", Json::number(h.sum()));
     histograms.set(name, std::move(hj));
   }
-  Json timeseries = Json::object();
-  for (const auto& [name, ts] : timeseries_) {
-    Json points = Json::array();
-    for (const auto& [when, value] : ts.points()) {
-      Json point = Json::array();
-      point.push_back(Json::number(to_ms(when)));
-      point.push_back(Json::number(value));
-      points.push_back(std::move(point));
-    }
-    timeseries.set(name, std::move(points));
-  }
   Json j = Json::object();
   j.set("counters", std::move(counters));
   j.set("gauges", std::move(gauges));
   j.set("histograms", std::move(histograms));
-  j.set("timeseries", std::move(timeseries));
   return j;
 }
 

@@ -1,13 +1,13 @@
-// MetricsRegistry: named counters, gauges, fixed-bucket histograms and
-// timeseries that every layer (sim actors, bft replicas, core nodes, the
-// workload harness) can publish into. Designed for the hot path: callers
+// MetricsRegistry: named counters, gauges and fixed-bucket histograms that
+// every layer (sim actors, bft replicas, core nodes, the workload harness)
+// can publish into. Designed for the hot path: callers
 // resolve a metric once by name (map lookup + string build) and then hold a
 // pointer, so recording is an increment / push_back with no hashing.
 //
 // Concurrency: recording is safe from multiple threads (the wall-clock
 // runtime backend records from every worker). Counters and gauges are
-// relaxed atomics; histogram and timeseries recording and metric resolution
-// take a small mutex. Readers (value(), counts(), to_json(), ...) are meant
+// relaxed atomics; histogram recording and metric resolution take a small
+// mutex. Readers (value(), counts(), to_json(), ...) are meant
 // for after the recording threads have quiesced — they see a consistent
 // snapshot then; mid-run reads are safe but may interleave with writers.
 // The single-threaded simulator pays one uncontended atomic/lock per record.
@@ -83,25 +83,6 @@ class Histogram {
   std::atomic<std::uint64_t> sum_bits_{0};  // bit pattern of the double sum
 };
 
-/// Append-only (time, value) series; times must be nondecreasing per
-/// recording thread (simulated time is monotone; the wall clock too), which
-/// the exporters rely on.
-class Timeseries {
- public:
-  void append(Time when, double value) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    points_.emplace_back(when, value);
-  }
-  /// Read after recording has quiesced.
-  [[nodiscard]] const std::vector<std::pair<Time, double>>& points() const {
-    return points_;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::pair<Time, double>> points_;
-};
-
 /// Naming convention: "<subsystem>.<metric>.<label>", labels embedded in the
 /// name (e.g. "node.a_deliver.g0", "actor.cpu_busy.g1.r2"). See the
 /// Observability section of docs/ARCHITECTURE.md for the full catalogue.
@@ -114,7 +95,6 @@ class MetricsRegistry {
   [[nodiscard]] Gauge& gauge(const std::string& name);
   [[nodiscard]] Histogram& histogram(const std::string& name,
                                      std::vector<double> bounds);
-  [[nodiscard]] Timeseries& timeseries(const std::string& name);
 
   [[nodiscard]] const std::map<std::string, Counter>& counters() const {
     return counters_;
@@ -125,13 +105,9 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
-  [[nodiscard]] const std::map<std::string, Timeseries>& timeserieses() const {
-    return timeseries_;
-  }
 
-  /// Whole registry as a JSON object: {"counters", "gauges", "histograms",
-  /// "timeseries"}, each keyed by metric name. Timeseries points are
-  /// [time in fractional milliseconds, value] pairs.
+  /// Whole registry as a JSON object: {"counters", "gauges", "histograms"},
+  /// each keyed by metric name.
   [[nodiscard]] Json to_json() const;
 
  private:
@@ -139,7 +115,6 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, Timeseries> timeseries_;
 };
 
 }  // namespace byzcast

@@ -7,8 +7,7 @@
 // names by replacing every character outside [a-zA-Z0-9_:] with '_';
 // counters additionally get the conventional "_total" suffix. Histograms
 // export the full cumulative-bucket family (`_bucket{le="..."}` monotone,
-// `le="+Inf"` equal to `_count`) plus `_sum` and `_count`. Timeseries have
-// no Prometheus equivalent and stay JSON-only (the drain-time sidecars).
+// `le="+Inf"` equal to `_count`) plus `_sum` and `_count`.
 // `const_labels` (e.g. {{"node", "g1_r2"}}) are attached to every sample,
 // with label values escaped per the exposition rules. Output order is
 // deterministic: counters, then gauges, then histograms, each sorted by

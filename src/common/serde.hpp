@@ -2,7 +2,9 @@
 // before being "sent" and decoded through a Reader on arrival, so digests and
 // MACs are computed over real wire bytes and message sizes feed the latency
 // model. Encoding is little-endian fixed-width; no varints — simplicity and
-// determinism over compactness.
+// determinism over compactness. Because every field is fixed-width, an
+// encoder knows its message's size up front; the per-message encoders
+// reserve it, so encoding one of those messages costs one allocation.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "common/bytes.hpp"
 #include "common/contracts.hpp"
 #include "common/types.hpp"
@@ -76,6 +79,12 @@ class Writer {
 class Reader {
  public:
   explicit Reader(BytesView data) : data_(data) {}
+  /// Reads a shared wire buffer: buffer() then hands out length-prefixed
+  /// fields as slices that share its storage instead of copies. `wire` must
+  /// outlive the Reader (the slices need not).
+  explicit Reader(const Buffer& wire) : data_(wire.view()), wire_(&wire) {}
+  /// Bytes converts to both BytesView and Buffer; reading it means the view.
+  explicit Reader(const Bytes& data) : data_(data) {}
 
   [[nodiscard]] std::uint8_t u8() {
     BZC_EXPECTS(pos_ + 1 <= data_.size());
@@ -95,13 +104,28 @@ class Reader {
     return m;
   }
 
-  [[nodiscard]] Bytes bytes() {
+  /// Length-prefixed byte string, viewed in place (valid while the input is).
+  [[nodiscard]] BytesView bytes_view() {
     const auto n = u32();
     BZC_EXPECTS(pos_ + n <= data_.size());
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const BytesView out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
+  }
+
+  /// Length-prefixed byte string, copied out.
+  [[nodiscard]] Bytes bytes() {
+    const BytesView raw = bytes_view();
+    return Bytes(raw.begin(), raw.end());
+  }
+
+  /// Length-prefixed byte string as a Buffer: a slice of the wire buffer
+  /// when this Reader reads one (no copy, no materialization), else a copy.
+  [[nodiscard]] Buffer buffer() {
+    const BytesView raw = bytes_view();
+    if (wire_ == nullptr) return Buffer::copy_of(raw);
+    return wire_->slice(static_cast<std::size_t>(raw.data() - data_.data()),
+                        raw.size());
   }
 
   [[nodiscard]] std::string str() {
@@ -132,6 +156,7 @@ class Reader {
   }
 
   BytesView data_;
+  const Buffer* wire_ = nullptr;  // set when data_ is a Buffer's view
   std::size_t pos_ = 0;
 };
 

@@ -93,18 +93,4 @@ double ThroughputMeter::rate_per_sec(Time from, Time to) const {
   return static_cast<double>(count_in(from, to)) / to_sec(to - from);
 }
 
-std::vector<std::pair<Time, double>> ThroughputMeter::timeseries(
-    Time from, Time to, Time bucket) const {
-  BZC_EXPECTS(from < to);
-  BZC_EXPECTS(bucket > 0);
-  std::vector<std::pair<Time, double>> out;
-  for (Time start = from; start < to; start += bucket) {
-    const Time end = std::min(start + bucket, to);
-    out.emplace_back(start,
-                     static_cast<double>(count_in(start, end)) /
-                         to_sec(end - start));
-  }
-  return out;
-}
-
 }  // namespace byzcast

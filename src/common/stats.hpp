@@ -97,12 +97,6 @@ class ThroughputMeter {
   /// Events per second between `from` and `to` (simulated time).
   [[nodiscard]] double rate_per_sec(Time from, Time to) const;
 
-  /// Sampled rate timeseries: one (bucket_start, events/sec) point per
-  /// `bucket` of simulated time across [from, to). Buckets are half-open;
-  /// a final partial bucket is normalized by its true width.
-  [[nodiscard]] std::vector<std::pair<Time, double>> timeseries(
-      Time from, Time to, Time bucket) const;
-
   /// All recorded events, stored or overflowed.
   [[nodiscard]] std::size_t total() const {
     return events_.size() + overflow_;

@@ -43,6 +43,9 @@ struct MulticastMessage {
 
   [[nodiscard]] Bytes encode() const {
     Writer w;
+    // id, the counted destination list, the length-prefixed payload, hop
+    // and trace flags: reserved exactly, so encoding allocates once.
+    w.reserve(12 + 4 + 4 * dst.size() + 4 + payload.size() + 4 + 1);
     w.message_id(id);
     w.vec(dst, [](Writer& ww, GroupId g) { ww.group_id(g); });
     w.bytes(payload);

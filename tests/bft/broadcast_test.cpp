@@ -83,6 +83,38 @@ TEST(Broadcast, HistoryDigestsAgree) {
   EXPECT_NE(d0, Digest{});
 }
 
+// The history digest is streamed into one SHA-256 context. Its value is the
+// buffered formula, recomputed here: SHA-256 of a Writer holding the
+// length-prefixed previous digest, the request id and the length-prefixed
+// op, chained over the execution order. The ops include a 4 KiB one and an
+// empty one.
+TEST(Broadcast, HistoryDigestMatchesBufferedFormula) {
+  Harness h;
+  ClientProxy client(h.sim, h.group.info(), "client0");
+  const std::vector<Bytes> ops = {to_bytes("first"), Bytes(4096, 0x7e),
+                                  Bytes{}, to_bytes("last")};
+  std::size_t next = 0;
+  std::function<void()> issue = [&] {
+    if (next == ops.size()) return;
+    client.invoke(ops[next++], [&](const Bytes&, Time) { issue(); });
+  };
+  issue();
+  h.sim.run_until(10 * kSecond);
+
+  ASSERT_EQ(h.traces[0].size(), ops.size());
+  Digest expected{};
+  for (const auto& e : h.traces[0]) {
+    Writer w;
+    w.bytes(BytesView(expected.data(), expected.size()));
+    w.message_id(MessageId{e.origin, e.seq});
+    w.bytes(e.op);
+    expected = Sha256::hash(w.data());
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(h.group.replica(i).history_digest(), expected) << "replica " << i;
+  }
+}
+
 TEST(Broadcast, IntegrityEachRequestExecutedOnce) {
   Harness h;
   h.run_clients(3, 30);

@@ -95,6 +95,85 @@ TEST(BftMessage, ReplyRoundTrip) {
   EXPECT_EQ(out.result, to_bytes("ack"));
 }
 
+// Every hot-path encoder reserves its message's exact size, so encoding
+// costs one allocation and never grows the buffer; each still round-trips.
+TEST(BftMessage, HotPathEncodersReserveExactSize) {
+  Request big = make_request(5, 42, "");
+  big.op = Buffer(Bytes(4096, 0x5a));
+  for (const Request& req : {make_request(5, 42, "op-payload"), big}) {
+    const Bytes encoded = encode_request(req);
+    EXPECT_EQ(encoded.capacity(), encoded.size());
+    Reader r(encoded);
+    (void)r.u8();
+    EXPECT_EQ(decode_request(r), req);
+    EXPECT_TRUE(r.exhausted());
+  }
+
+  const Vote vote{MsgType::kAccept, 7, 123, Sha256::hash(to_bytes("batch"))};
+  const Bytes vote_bytes = vote.encode();
+  EXPECT_EQ(vote_bytes.capacity(), vote_bytes.size());
+  Reader vr(vote_bytes);
+  (void)vr.u8();
+  EXPECT_EQ(Vote::decode(MsgType::kAccept, vr).digest, vote.digest);
+  EXPECT_TRUE(vr.exhausted());
+
+  const Reply one{GroupId{4}, 77, Bytes(4096, 0x11)};
+  const Bytes reply_bytes = one.encode();
+  EXPECT_EQ(reply_bytes.capacity(), reply_bytes.size());
+  Reader rr(reply_bytes);
+  (void)rr.u8();
+  EXPECT_EQ(Reply::decode(rr).result, one.result);
+  EXPECT_TRUE(rr.exhausted());
+
+  const ReplyBatch batch{{one, Reply{GroupId{5}, 78, to_bytes("ok")}}};
+  const Bytes batch_bytes = batch.encode();
+  EXPECT_EQ(batch_bytes.capacity(), batch_bytes.size());
+  Reader br(batch_bytes);
+  (void)br.u8();
+  const ReplyBatch out = ReplyBatch::decode(br);
+  ASSERT_EQ(out.replies.size(), 2u);
+  EXPECT_EQ(out.replies[1].result, to_bytes("ok"));
+  EXPECT_TRUE(br.exhausted());
+}
+
+// A Reader over the wire Buffer hands each op out as a slice of it: decoding
+// a PROPOSE copies no op and materializes nothing, and the ops outlive the
+// wire buffer. A Reader over plain bytes copies instead.
+TEST(BftMessage, OpsDecodeAsSlicesOfTheWireBuffer) {
+  Propose p;
+  p.view = 1;
+  p.instance = 2;
+  p.batch = {make_request(1, 0, "alpha"), make_request(2, 5, "beta")};
+  Buffer wire(p.encode());
+  const std::uint8_t* const begin = wire.data();
+  const std::uint8_t* const end = wire.data() + wire.size();
+
+  const std::uint64_t before = Buffer::materializations();
+  Reader r(wire);
+  (void)r.u8();
+  Propose q = Propose::decode(r);
+  EXPECT_EQ(Buffer::materializations(), before);
+  ASSERT_EQ(q.batch, p.batch);
+  for (const Request& req : q.batch) {
+    EXPECT_GE(req.op.data(), begin);
+    EXPECT_LE(req.op.data() + req.op.size(), end);
+  }
+
+  wire = Buffer();  // the slices keep the wire bytes alive
+  EXPECT_EQ(to_text(q.batch[0].op), "alpha");
+  EXPECT_EQ(to_text(q.batch[1].op), "beta");
+
+  const Bytes plain = encode_request(make_request(3, 1, "gamma"));
+  const std::uint64_t before_copy = Buffer::materializations();
+  Reader pr(plain);
+  (void)pr.u8();
+  const Request copied = decode_request(pr);
+  EXPECT_EQ(Buffer::materializations(), before_copy + 1);
+  EXPECT_EQ(to_text(copied.op), "gamma");
+  EXPECT_FALSE(copied.op.data() >= plain.data() &&
+               copied.op.data() < plain.data() + plain.size());
+}
+
 TEST(BftMessage, StopAndStopDataRoundTrip) {
   const Bytes stop_encoded = Stop{9}.encode();
   Reader sr(stop_encoded);

@@ -1,16 +1,19 @@
 // Thread-safety of the Authenticator's memoized verification (stage
-// pipeline: verify-stage workers probe one replica's memo concurrently).
-// Run under TSan in CI: the per-slot try-lock must keep racing verifiers
-// from ever observing a torn slot, on the same slot and across slots.
+// pipeline: verify-stage workers probe one replica's memo concurrently) and
+// of the per-thread channel key schedules behind sign and verify. Run under
+// TSan in CI: the per-slot try-lock must keep racing verifiers from ever
+// observing a torn slot, on the same slot and across slots.
 #include "common/auth.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/hmac.hpp"
 
 namespace byzcast {
 namespace {
@@ -104,6 +107,54 @@ TEST_F(AuthConcurrencyTest, ConcurrentSignersShareNoState) {
     threads.emplace_back([&] {
       for (int i = 0; i < 2000; ++i) {
         if (a.sign(bob, msg) != expected) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST_F(AuthConcurrencyTest, CachedSchedulesRaceAcrossThreadsAndSeeds) {
+  // Each thread derives and caches its own channel schedules. Four threads
+  // sign and verify over two seeds and 24 pids at once; every MAC must be
+  // the one-shot HMAC under the pair key, every verification on the right
+  // seed must pass, and none on the other seed.
+  constexpr int kPids = 24;
+  const std::shared_ptr<KeyStore> stores[] = {
+      keys, std::make_shared<KeyStore>(20260808)};
+  const Bytes data = to_bytes("relay copy 7");
+  std::vector<Digest> expected;
+  std::deque<Authenticator> auths;  // [seed * kPids + pid]
+  for (const auto& ks : stores) {
+    for (int a = 0; a < kPids; ++a) {
+      auths.emplace_back(ks, ProcessId{a});
+      for (int b = 0; b < kPids; ++b) {
+        expected.push_back(
+            hmac_sha256(ks->pair_key(ProcessId{a}, ProcessId{b}), data));
+      }
+    }
+  }
+  const auto at = [](int s, int a, int b) {
+    return static_cast<std::size_t>((s * kPids + a) * kPids + b);
+  };
+  const auto auth = [&auths](int s, int p) -> const Authenticator& {
+    return auths[static_cast<std::size_t>(s * kPids + p)];
+  };
+
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 3000; ++i) {
+        const int s = (i + t) % 2;
+        const int a = (i * 7 + t) % kPids;
+        const int b = (i * 13 + 3 * t) % kPids;
+        const Digest mac = auth(s, a).sign(ProcessId{b}, data);
+        if (mac != expected[at(s, a, b)]) wrong.fetch_add(1);
+        if (!auth(s, b).verify(ProcessId{a}, data, mac)) wrong.fetch_add(1);
+        if (auth(1 - s, b).verify(ProcessId{a}, data, mac)) {
+          wrong.fetch_add(1);
+        }
       }
     });
   }

@@ -52,8 +52,6 @@ TEST(Metrics, JsonExportIsDeterministicAndWellFormed) {
   reg.counter("a.first").inc(1);
   reg.gauge("busy").set(0.5);
   reg.histogram("batch", {1.0, 2.0}).observe(1.5);
-  reg.timeseries("depth").append(kMillisecond, 3.0);
-  reg.timeseries("depth").append(2 * kMillisecond, 4.0);
 
   const Json json = reg.to_json();
   // Member order included: names sorted, so a.first precedes z.last.
@@ -62,8 +60,7 @@ TEST(Metrics, JsonExportIsDeterministicAndWellFormed) {
       R"({"counters": {"a.first": 1, "z.last": 2},
           "gauges": {"busy": 0.5},
           "histograms": {"batch": {"bounds": [1, 2], "counts": [0, 1, 0],
-                                   "count": 1, "sum": 1.5}},
-          "timeseries": {"depth": [[1, 3], [2, 4]]}})",
+                                   "count": 1, "sum": 1.5}}})",
       &err);
   ASSERT_TRUE(expected.has_value()) << err;
   EXPECT_EQ(json, *expected);
@@ -76,8 +73,7 @@ TEST(Metrics, JsonExportIsDeterministicAndWellFormed) {
 TEST(Metrics, EmptyRegistryExports) {
   MetricsRegistry reg;
   EXPECT_EQ(reg.to_json(), Json::parse(R"({"counters": {}, "gauges": {},
-                                           "histograms": {},
-                                           "timeseries": {}})"));
+                                           "histograms": {}})"));
 }
 
 }  // namespace

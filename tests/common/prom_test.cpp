@@ -140,14 +140,5 @@ TEST(Prom, OrderIsDeterministicCountersThenGaugesThenHistograms) {
   EXPECT_LT(pos_gauge, pos_hist);  // gauges before histograms
 }
 
-TEST(Prom, TimeseriesStayJsonOnly) {
-  MetricsRegistry reg;
-  reg.timeseries("tput.series").append(Time{1000}, 3.0);
-  reg.counter("real.metric").inc();
-  const std::string text = prometheus_text(reg);
-  EXPECT_EQ(text.find("tput"), std::string::npos);
-  EXPECT_NE(text.find("real_metric_total 1\n"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace byzcast

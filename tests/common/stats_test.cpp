@@ -122,41 +122,6 @@ TEST(ThroughputMeter, WindowBoundariesAreHalfOpen) {
   EXPECT_NEAR(meter.rate_per_sec(kSecond, 2 * kSecond), 3.0, 1e-9);
 }
 
-TEST(ThroughputMeter, TimeseriesBucketsAndPartialTail) {
-  ThroughputMeter meter;
-  // 10 events in [0s,1s), 20 in [1s,2s), 5 in the half-width tail [2s,2.5s).
-  for (int i = 0; i < 10; ++i) meter.record(i * 100 * kMillisecond);
-  for (int i = 0; i < 20; ++i) meter.record(kSecond + i * 50 * kMillisecond);
-  for (int i = 0; i < 5; ++i) {
-    meter.record(2 * kSecond + i * 100 * kMillisecond);
-  }
-  const auto series = meter.timeseries(0, 2500 * kMillisecond, kSecond);
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_EQ(series[0].first, 0);
-  EXPECT_NEAR(series[0].second, 10.0, 1e-9);
-  EXPECT_EQ(series[1].first, kSecond);
-  EXPECT_NEAR(series[1].second, 20.0, 1e-9);
-  EXPECT_EQ(series[2].first, 2 * kSecond);
-  // Partial 0.5 s bucket holding 5 events still reads 10 events/sec.
-  EXPECT_NEAR(series[2].second, 10.0, 1e-9);
-}
-
-TEST(ThroughputMeter, TimeseriesMatchesWindowQueries) {
-  ThroughputMeter meter;
-  Rng rng(7);
-  Time t = 0;
-  for (int i = 0; i < 5000; ++i) {
-    t += static_cast<Time>(rng.next_below(3)) * kMillisecond;
-    meter.record(t);
-  }
-  const Time horizon = t + kMillisecond;
-  const auto series = meter.timeseries(0, horizon, 500 * kMillisecond);
-  for (const auto& [start, rate] : series) {
-    const Time end = std::min(start + 500 * kMillisecond, horizon);
-    EXPECT_NEAR(rate, meter.rate_per_sec(start, end), 1e-9);
-  }
-}
-
 // Sweep-scale capacity regression: a bounded recorder fed past its cap must
 // keep exactly max_samples observations, count the rest in overflow(), and
 // still answer percentile queries from the retained prefix — never grow

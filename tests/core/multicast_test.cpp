@@ -14,6 +14,18 @@ TEST(MulticastMessage, EncodeDecodeRoundTrip) {
   EXPECT_EQ(MulticastMessage::decode(encoded), m);
 }
 
+TEST(MulticastMessage, EncodeReservesExactSize) {
+  MulticastMessage m;
+  m.id = MessageId{ProcessId{42}, 7};
+  m.dst = {GroupId{1}, GroupId{2}, GroupId{3}};
+  m.payload = Bytes(4096, 0x6b);
+  m.hop = 2;
+  m.trace_flags = MulticastMessage::kTraced;
+  const Bytes encoded = m.encode();
+  EXPECT_EQ(encoded.capacity(), encoded.size());
+  EXPECT_EQ(MulticastMessage::decode(encoded), m);
+}
+
 TEST(MulticastMessage, CanonicalizeSortsAndDedups) {
   MulticastMessage m;
   m.dst = {GroupId{3}, GroupId{1}, GroupId{3}, GroupId{2}};
